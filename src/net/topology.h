@@ -108,6 +108,17 @@ class Topology {
             csr_to_.data() + csr_start_[node + 1]};
   }
 
+  /// In-links of a node, parallel to out_targets(node): entry i is the link
+  /// from out_targets(node)[i] into `node` (every link is half of a duplex
+  /// trunk, so it is link(out_links(node)[i]).reverse). Lets SPF scan a
+  /// node's in-links as 4-byte ids instead of 48-byte Link records.
+  [[nodiscard]] std::span<const LinkId> in_links(NodeId node) const {
+    ensure_csr();
+    check_node(node);
+    return {csr_in_.data() + csr_start_[node],
+            csr_in_.data() + csr_start_[node + 1]};
+  }
+
   /// Position of `link` inside its from-node's out_links slice. Per-out-link
   /// state held in out_links order (e.g. a PSN's output queues) is then an
   /// O(1) lookup instead of a linear scan.
@@ -153,13 +164,15 @@ class Topology {
       name_index_;
 
   // CSR cache over links_: node n's out-links are csr_links_[csr_start_[n]
-  // .. csr_start_[n+1]), csr_to_ holds the matching targets, csr_pos_[l] the
-  // slot of link l within its from-node's slice. Mutable because it is a
+  // .. csr_start_[n+1]), csr_to_ holds the matching targets, csr_in_ the
+  // matching reverse (in-)links, csr_pos_[l] the slot of link l within its
+  // from-node's slice. Mutable because it is a
   // lazily-(re)built view of the link list; guarded for concurrent first
   // access from sweep workers sharing one const Topology.
   mutable std::vector<std::uint32_t> csr_start_;
   mutable std::vector<LinkId> csr_links_;
   mutable std::vector<NodeId> csr_to_;
+  mutable std::vector<LinkId> csr_in_;
   mutable std::vector<std::uint32_t> csr_pos_;
   mutable std::atomic<bool> csr_valid_{false};
   mutable std::mutex csr_mu_;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/util/check.h"
 
@@ -44,71 +44,48 @@ void check_costs(const net::Topology& topo, std::span<const double> costs) {
   }
 }
 
-/// Re-derives parent links, first hops and hop counts from final distances.
-///
-/// The canonical parent of v is the lowest-id in-link (u,v) with
-/// dist[u] + cost == dist[v]; because relaxations only ever propagate from
-/// settled nodes, the achieving sum is bit-exact and the equality test is
-/// safe. Deriving structure from distances (rather than keeping whatever
-/// parents Dijkstra's settle order happened to produce) is what makes every
-/// PSN compute the identical tree from identical costs.
 // ARPALINT-HOTPATH-BEGIN
-void derive_structure(const net::Topology& topo, std::span<const double> costs,
-                      SpfTree& tree, std::vector<net::NodeId>& order) {
-  const std::size_t n = topo.node_count();
-  // ARPALINT-ALLOW(hot-path-alloc): same-size assigns reuse the tree's storage
-  tree.parent_link.assign(n, net::kInvalidLink);
-  // ARPALINT-ALLOW(hot-path-alloc): same-size assigns reuse the tree's storage
-  tree.first_hop.assign(n, net::kInvalidLink);
-  // ARPALINT-ALLOW(hot-path-alloc): same-size assigns reuse the tree's storage
-  tree.hops.assign(n, -1);
-  tree.hops[tree.root] = 0;
-
-  for (const net::Link& l : topo.links()) {
-    if (l.to == tree.root) continue;
-    const double du = tree.dist[l.from];
+/// Canonical parent of v from final distances: the lowest-id in-link (u,v)
+/// with dist[u] + cost == dist[v], returned with u (kInvalidLink for the
+/// root and unreachable nodes).
+///
+/// Because relaxations only ever propagate from settled nodes, the
+/// achieving sum is bit-exact and the equality test is safe. Deriving
+/// structure from distances (rather than keeping whatever parents
+/// Dijkstra's settle order happened to produce) is what makes every PSN
+/// compute the identical tree from identical costs.
+std::pair<net::LinkId, net::NodeId> canonical_parent(
+    const net::Topology& topo, std::span<const double> costs,
+    const SpfTree& tree, net::NodeId v) {
+  std::pair<net::LinkId, net::NodeId> best{net::kInvalidLink,
+                                           net::kInvalidNode};
+  const double dv = tree.dist[v];
+  if (v == tree.root || dv == kInf) return best;
+  const std::span<const net::LinkId> ins = topo.in_links(v);
+  const std::span<const net::NodeId> froms = topo.out_targets(v);
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    const double du = tree.dist[froms[i]];
     if (du == kInf) continue;
-    if (du + costs[l.id] == tree.dist[l.to]) {
-      if (tree.parent_link[l.to] == net::kInvalidLink ||
-          l.id < tree.parent_link[l.to]) {
-        tree.parent_link[l.to] = l.id;
-      }
+    if (du + costs[ins[i]] == dv && ins[i] < best.first) {
+      best = {ins[i], froms[i]};
     }
   }
+  return best;
+}
 
-  // Positive costs mean dist strictly increases along tree edges, so any
-  // nondecreasing-distance order visits parents before children (tie order
-  // among equal distances is irrelevant: equal-dist nodes are never
-  // parent/child). The caller's buffer persists between updates and an
-  // incremental pass only perturbs the affected region's distances, so the
-  // buffer is almost sorted already — insertion sort runs in
-  // O(n + inversions), typically a single sweep, where a comparison sort
-  // would pay its full O(n log n) on every rederivation.
-  if (order.size() != n) {
-    // ARPALINT-ALLOW(hot-path-alloc): grows once; persistent across updates
-    order.resize(n);
-    std::iota(order.begin(), order.end(), net::NodeId{0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    const net::NodeId v = order[i];
-    const double dv = tree.dist[v];
-    std::size_t j = i;
-    for (; j > 0 && dv < tree.dist[order[j - 1]]; --j) order[j] = order[j - 1];
-    order[j] = v;
-  }
-  for (const net::NodeId v : order) {
-    if (v == tree.root || tree.parent_link[v] == net::kInvalidLink) continue;
-    const net::Link& pl = topo.link(tree.parent_link[v]);
-    // Parents settle before children in this order, so the parent's
-    // structure must already exist — a -1 here means the distance array is
-    // inconsistent with the parent derivation.
-    ARPA_DCHECK(pl.from == tree.root || tree.hops[pl.from] >= 0)
-        << "node " << v << " derived a parent (" << pl.from
-        << ") with no structure yet";
-    tree.hops[v] = tree.hops[pl.from] + 1;
-    tree.first_hop[v] =
-        (pl.from == tree.root) ? pl.id : tree.first_hop[pl.from];
-  }
+/// Hop count and first hop of a non-root node, from its parent's.
+std::pair<int, net::LinkId> hops_and_first_hop(const net::Topology& topo,
+                                               const SpfTree& tree,
+                                               net::NodeId v) {
+  const net::LinkId pl = tree.parent_link[v];
+  if (pl == net::kInvalidLink) return {-1, net::kInvalidLink};
+  const net::NodeId p = topo.link(pl).from;
+  // Parents are finished before their children, so the parent's structure
+  // must already exist — a -1 here means the distance array is
+  // inconsistent with the parent derivation.
+  ARPA_DCHECK(tree.hops[p] >= 0) << "node " << v << " derived a parent ("
+                                 << p << ") with no structure yet";
+  return {tree.hops[p] + 1, p == tree.root ? pl : tree.first_hop[p]};
 }
 // ARPALINT-HOTPATH-END
 
@@ -117,20 +94,34 @@ void derive_structure(const net::Topology& topo, std::span<const double> costs,
 SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
                      std::span<const double> link_costs) {
   check_costs(topo, link_costs);
-  if (root >= topo.node_count()) throw std::out_of_range("SPF root out of range");
+  const std::size_t n = topo.node_count();
+  if (root >= n) throw std::out_of_range("SPF root out of range");
 
   SpfTree tree;
   tree.root = root;
-  tree.dist.assign(topo.node_count(), kInf);
+  tree.dist.assign(n, kInf);
+  tree.parent_link.assign(n, net::kInvalidLink);
+  tree.first_hop.assign(n, net::kInvalidLink);
+  tree.hops.assign(n, -1);
   tree.dist[root] = 0.0;
+  tree.hops[root] = 0;
 
   HeapVec heap;
   heap_push(heap, 0.0, root);
-  std::vector<bool> settled(topo.node_count(), false);
+  std::vector<bool> settled(n, false);
   while (!heap.empty()) {
     const auto [d, u] = heap_pop(heap);
     if (settled[u]) continue;
     settled[u] = true;
+    // Structure is derived in settle order. Dijkstra settles in
+    // nondecreasing distance and positive costs make a parent strictly
+    // closer than its child, so u's in-neighbours that can tie are final
+    // and its parent's hops and first hop already exist.
+    if (u != root) {
+      tree.parent_link[u] = canonical_parent(topo, link_costs, tree, u).first;
+      std::tie(tree.hops[u], tree.first_hop[u]) =
+          hops_and_first_hop(topo, tree, u);
+    }
     // Parallel CSR slices: the relaxation touches only the link id (cost
     // index) and the target node, never the 48-byte Link record.
     const std::span<const net::LinkId> lids = topo.out_links(u);
@@ -143,9 +134,6 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
       }
     }
   }
-
-  std::vector<net::NodeId> order;
-  derive_structure(topo, link_costs, tree, order);
   return tree;
 }
 
@@ -155,17 +143,16 @@ IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
   check_costs(topo, costs_);
   tree_ = Spf::compute(topo, root, costs_);
   ++full_;
-  // Size the scratch up front: the passes' assign/resize/push_back then
-  // never grow, even for a PSN whose first incremental update arrives long
-  // after construction (the AllocGuard window assumes exactly this).
+  build_child_index();
+  // Size the scratch up front: the passes' push_backs then never grow,
+  // even for a PSN whose first incremental update arrives long after
+  // construction (the AllocGuard window assumes exactly this). A Dijkstra
+  // pass pushes each in-link of a changed node at most once (<= links), and
+  // the structure repair queues each node at most once (<= nodes).
   const std::size_t n = topo.node_count();
-  scratch_.heap.reserve(topo.link_count());
-  scratch_.order.reserve(n);
-  scratch_.affected.reserve(n);
-  scratch_.stack.reserve(n);
-  scratch_.child_start.reserve(n + 1);
-  scratch_.child_list.reserve(n);
-  scratch_.prev_first_hop.reserve(n);
+  scratch_.heap.reserve(std::max(topo.link_count(), n));
+  scratch_.mark.assign(n, 0);
+  scratch_.touched.reserve(n);
 }
 
 void IncrementalSpf::reset(LinkCosts costs) {
@@ -173,9 +160,42 @@ void IncrementalSpf::reset(LinkCosts costs) {
   costs_ = std::move(costs);
   tree_ = Spf::compute(*topo_, tree_.root, costs_);
   ++full_;
+  build_child_index();
+}
+
+void IncrementalSpf::build_child_index() {
+  const std::size_t n = topo_->node_count();
+  first_child_.assign(n, net::kInvalidNode);
+  next_sib_.assign(n, net::kInvalidNode);
+  for (net::NodeId v = 0; v < n; ++v) {
+    const net::LinkId pl = tree_.parent_link[v];
+    if (pl != net::kInvalidLink) link_child(topo_->link(pl).from, v);
+  }
 }
 
 // ARPALINT-HOTPATH-BEGIN
+void IncrementalSpf::link_child(net::NodeId parent, net::NodeId child) {
+  next_sib_[child] = first_child_[parent];
+  first_child_[parent] = child;
+}
+
+void IncrementalSpf::unlink_child(net::NodeId parent, net::NodeId child) {
+  net::NodeId* slot = &first_child_[parent];
+  while (*slot != child) {
+    ARPA_DCHECK(*slot != net::kInvalidNode)
+        << "node " << child << " missing from the child list of " << parent;
+    slot = &next_sib_[*slot];
+  }
+  *slot = next_sib_[child];
+}
+
+void IncrementalSpf::touch(net::NodeId v) {
+  if (v == tree_.root || scratch_.mark[v] != 0) return;
+  scratch_.mark[v] = 1;
+  // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count; each node once
+  scratch_.touched.push_back(v);
+}
+
 void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
   if (!(new_cost > 0.0)) throw std::invalid_argument("link costs must be positive");
   const double old_cost = costs_.at(link);
@@ -196,94 +216,69 @@ void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
   } else {
     increase_pass(link);
   }
-  rederive_structure();
+  repair_structure();
 }
 
 void IncrementalSpf::decrease_pass(net::LinkId link) {
   const net::Link& l = topo_->link(link);
-  if (tree_.dist[l.from] == kInf) return;
-  const double cand = tree_.dist[l.from] + costs_[link];
-  if (cand >= tree_.dist[l.to]) return;
-
-  HeapVec& heap = scratch_.heap;
-  heap.clear();
-  heap_push(heap, cand, l.to);
-  while (!heap.empty()) {
-    const auto [d, w] = heap_pop(heap);
-    if (d >= tree_.dist[w]) continue;
-    tree_.dist[w] = d;
-    ++nodes_touched_;
-    const std::span<const net::LinkId> lids = topo_->out_links(w);
-    const std::span<const net::NodeId> tos = topo_->out_targets(w);
-    for (std::size_t i = 0; i < lids.size(); ++i) {
-      const double nd = d + costs_[lids[i]];
-      if (nd < tree_.dist[tos[i]]) heap_push(heap, nd, tos[i]);
-    }
-  }
-}
-
-void IncrementalSpf::increase_pass(net::LinkId link) {
-  const net::Link& l = topo_->link(link);
-  const std::size_t n = topo_->node_count();
-
-  // Affected region: the subtree hanging below the head of the increased
-  // link. Everything else keeps its distance. The children adjacency is a
-  // two-pass counting build into a CSR index (child_start/child_list) so no
-  // per-node vectors are allocated.
-  auto& cs = scratch_.child_start;
-  auto& cl = scratch_.child_list;
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  cs.assign(n + 1, 0);
-  for (net::NodeId v = 0; v < n; ++v) {
-    const net::LinkId pl = tree_.parent_link[v];
-    if (pl != net::kInvalidLink) ++cs[topo_->link(pl).from + 1];
-  }
-  for (std::size_t u = 0; u < n; ++u) cs[u + 1] += cs[u];
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  cl.resize(cs[n]);
-  // The fill advances cs[u] from u's start offset to its end offset, so
-  // afterwards u's children live in cl[cs[u-1] .. cs[u]) (start of node 0
-  // is 0).
-  for (net::NodeId v = 0; v < n; ++v) {
-    const net::LinkId pl = tree_.parent_link[v];
-    if (pl != net::kInvalidLink) cl[cs[topo_->link(pl).from]++] = v;
-  }
-
-  auto& affected = scratch_.affected;
-  auto& stack = scratch_.stack;
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  affected.assign(n, 0);
-  stack.clear();
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  stack.push_back(l.to);
-  affected[l.to] = 1;
-  while (!stack.empty()) {
-    const net::NodeId v = stack.back();
-    stack.pop_back();
-    const std::uint32_t begin = (v == 0) ? 0 : cs[v - 1];
-    for (std::uint32_t i = begin; i < cs[v]; ++i) {
-      const net::NodeId c = cl[i];
-      if (!affected[c]) {
-        affected[c] = 1;
-        // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-        stack.push_back(c);
+  auto& touched = scratch_.touched;
+  if (tree_.dist[l.from] != kInf) {
+    const double cand = tree_.dist[l.from] + costs_[link];
+    HeapVec& heap = scratch_.heap;
+    heap.clear();
+    if (cand < tree_.dist[l.to]) heap_push(heap, cand, l.to);
+    while (!heap.empty()) {
+      const auto [d, w] = heap_pop(heap);
+      if (d >= tree_.dist[w]) continue;
+      tree_.dist[w] = d;
+      ++nodes_touched_;
+      touch(w);
+      const std::span<const net::LinkId> lids = topo_->out_links(w);
+      const std::span<const net::NodeId> tos = topo_->out_targets(w);
+      for (std::size_t i = 0; i < lids.size(); ++i) {
+        const double nd = d + costs_[lids[i]];
+        if (nd < tree_.dist[tos[i]]) heap_push(heap, nd, tos[i]);
       }
     }
   }
 
-  // Re-run Dijkstra over the affected region, seeded with the best entry
-  // from the unaffected frontier (which includes the increased link itself).
+  // Parent candidates beyond the lowered nodes: their out-neighbours, which
+  // may now tie through them, and the link's head, whose in-link got
+  // cheaper even if its distance did not move.
+  const std::size_t lowered = touched.size();
+  for (std::size_t i = 0; i < lowered; ++i) {
+    for (const net::NodeId w : topo_->out_targets(touched[i])) touch(w);
+  }
+  touch(l.to);
+}
+
+void IncrementalSpf::increase_pass(net::LinkId link) {
+  // Affected region: the subtree hanging below the head of the increased
+  // link, walked breadth-first on the child index with the touched list as
+  // the queue. Everything else keeps its distance.
+  auto& touched = scratch_.touched;
+  const auto& mark = scratch_.mark;
+  touch(topo_->link(link).to);
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    for (net::NodeId c = first_child_[touched[i]]; c != net::kInvalidNode;
+         c = next_sib_[c]) {
+      touch(c);
+    }
+  }
+  for (const net::NodeId v : touched) tree_.dist[v] = kInf;
+  nodes_touched_ += static_cast<long>(touched.size());
+
+  // Re-run Dijkstra over the affected region, seeded from its in-links out
+  // of the unaffected frontier (which includes the increased link itself).
   HeapVec& heap = scratch_.heap;
   heap.clear();
-  for (net::NodeId v = 0; v < n; ++v) {
-    if (!affected[v]) continue;
-    tree_.dist[v] = kInf;
-    ++nodes_touched_;
-  }
-  for (const net::Link& in : topo_->links()) {
-    if (!affected[in.to] || affected[in.from]) continue;
-    if (tree_.dist[in.from] == kInf) continue;
-    heap_push(heap, tree_.dist[in.from] + costs_[in.id], in.to);
+  for (const net::NodeId v : touched) {
+    const std::span<const net::LinkId> ins = topo_->in_links(v);
+    const std::span<const net::NodeId> froms = topo_->out_targets(v);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      if (mark[froms[i]] != 0 || tree_.dist[froms[i]] == kInf) continue;
+      heap_push(heap, tree_.dist[froms[i]] + costs_[ins[i]], v);
+    }
   }
   while (!heap.empty()) {
     const auto [d, w] = heap_pop(heap);
@@ -292,20 +287,59 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
     const std::span<const net::LinkId> lids = topo_->out_links(w);
     const std::span<const net::NodeId> tos = topo_->out_targets(w);
     for (std::size_t i = 0; i < lids.size(); ++i) {
-      if (!affected[tos[i]]) continue;
+      if (mark[tos[i]] == 0) continue;
       const double nd = d + costs_[lids[i]];
       if (nd < tree_.dist[tos[i]]) heap_push(heap, nd, tos[i]);
     }
   }
 }
 
-void IncrementalSpf::rederive_structure() {
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  scratch_.prev_first_hop.assign(tree_.first_hop.begin(), tree_.first_hop.end());
-  derive_structure(*topo_, costs_, tree_, scratch_.order);
-  for (std::size_t v = 0; v < tree_.first_hop.size(); ++v) {
-    if (tree_.first_hop[v] != scratch_.prev_first_hop[v]) ++first_hop_changes_;
+/// Brings parents, hops and first hops in line with the new distances.
+///
+/// Only the touched nodes can have a new canonical parent: a parent changes
+/// only when the node's distance, an in-neighbour's distance or an in-link's
+/// cost changed. On an increase the touched subtree covers all three (a
+/// node outside it only loses ties through the subtree, never its lowest-id
+/// one); a decrease adds the out-neighbours and the link's head. Hops and
+/// first hops then move only below a node whose own values moved, so they
+/// are recomputed down those subtrees in distance order — parents strictly
+/// before children — and each node is queued at most once.
+void IncrementalSpf::repair_structure() {
+  auto& touched = scratch_.touched;
+  auto& mark = scratch_.mark;
+  for (const net::NodeId v : touched) {
+    const auto [parent_link, parent] =
+        canonical_parent(*topo_, costs_, tree_, v);
+    const net::LinkId old_link = tree_.parent_link[v];
+    if (parent_link == old_link) continue;
+    if (old_link != net::kInvalidLink) {
+      unlink_child(topo_->link(old_link).from, v);
+    }
+    if (parent_link != net::kInvalidLink) link_child(parent, v);
+    tree_.parent_link[v] = parent_link;
   }
+
+  HeapVec& heap = scratch_.heap;
+  heap.clear();
+  for (const net::NodeId v : touched) heap_push(heap, tree_.dist[v], v);
+  while (!heap.empty()) {
+    const net::NodeId v = heap_pop(heap).second;
+    const auto [hops, first_hop] = hops_and_first_hop(*topo_, tree_, v);
+    if (hops == tree_.hops[v] && first_hop == tree_.first_hop[v]) continue;
+    if (first_hop != tree_.first_hop[v]) ++first_hop_changes_;
+    tree_.hops[v] = hops;
+    tree_.first_hop[v] = first_hop;
+    // A marked child is still queued: it is farther than v.
+    for (net::NodeId c = first_child_[v]; c != net::kInvalidNode;
+         c = next_sib_[c]) {
+      if (mark[c] != 0) continue;
+      touch(c);
+      heap_push(heap, tree_.dist[c], c);
+    }
+  }
+
+  for (const net::NodeId v : touched) mark[v] = 0;
+  touched.clear();
 }
 // ARPALINT-HOTPATH-END
 

@@ -65,35 +65,31 @@ class Spf {
 
 /// Reusable workspace for the incremental passes. One instance lives inside
 /// each IncrementalSpf so a steady-state cost change allocates nothing: the
-/// Dijkstra heap, the subtree bitmap/stack, the CSR children index and the
-/// distance-ordered derivation buffer all keep their capacity across updates.
+/// Dijkstra heap and the touched list keep their capacity across updates,
+/// and the mark array is all zero between updates, so no pass pays O(n) to
+/// reset it.
 struct SpfScratch {
   /// Binary min-heap of (dist, node), driven via std::push_heap/pop_heap.
   std::vector<std::pair<double, net::NodeId>> heap;
-  /// Nodes in nondecreasing distance order, persisted between updates so the
-  /// usual case is a cheap is_sorted check over an almost-sorted buffer.
-  std::vector<net::NodeId> order;
-  /// Subtree membership for increase_pass (0/1; plain bytes, not
-  /// vector<bool>, so assign() is a memset).
-  std::vector<std::uint8_t> affected;
-  std::vector<net::NodeId> stack;
-  /// CSR children index: children of u are child_list[child_start[u-1] ..
-  /// child_start[u]) (start of node 0 is 0) — see increase_pass.
-  std::vector<std::uint32_t> child_start;
-  std::vector<net::NodeId> child_list;
-  /// first_hop snapshot taken before each re-derivation, for the
-  /// route-change counter.
-  std::vector<net::LinkId> prev_first_hop;
+  /// 1 iff the node is on `touched` (plain bytes, not vector<bool>).
+  std::vector<std::uint8_t> mark;
+  /// Every node the current update marked, in marking order: first the
+  /// nodes whose distance changed (and, on a decrease, the further
+  /// candidates for a new parent), then the descendants whose hops or first
+  /// hop moved. The update clears the marks through this list.
+  std::vector<net::NodeId> touched;
 };
 
 /// Resident incremental SPF, as run inside a PSN.
 ///
 /// Maintains the tree across a stream of single-link cost changes. Distances
 /// are updated with localized Dijkstra passes touching only affected nodes;
-/// parents/first-hops/hop-counts are then re-derived canonically, so the
-/// result is always bit-identical to a full Spf::compute with the same
-/// costs (verified by property tests). Counters expose how much work each
-/// class of update required.
+/// the canonical parent is then re-derived for just the nodes whose parent
+/// could have changed, and hops/first hops are recomputed down the subtrees
+/// that moved, so an update costs work proportional to the nodes it changes
+/// times their degree, never O(n). The result is always bit-identical to a
+/// full Spf::compute with the same costs (verified by property tests).
+/// Counters expose how much work each class of update required.
 class IncrementalSpf {
  public:
   IncrementalSpf(const net::Topology& topo, net::NodeId root, LinkCosts costs);
@@ -123,13 +119,23 @@ class IncrementalSpf {
   [[nodiscard]] long first_hop_changes() const { return first_hop_changes_; }
 
  private:
-  void rederive_structure();
+  void build_child_index();
+  void link_child(net::NodeId parent, net::NodeId child);
+  void unlink_child(net::NodeId parent, net::NodeId child);
+  void touch(net::NodeId v);
   void decrease_pass(net::LinkId link);
   void increase_pass(net::LinkId link);
+  void repair_structure();
 
   const net::Topology* topo_;
   LinkCosts costs_;
   SpfTree tree_;
+  /// Child index of tree_, kept in step with parent_link: the children of
+  /// u are first_child_[u], next_sib_[first_child_[u]], ... up to
+  /// kInvalidNode, in no particular order. A node's children arrive over
+  /// distinct out-links, so unlinking one walks at most the parent's degree.
+  std::vector<net::NodeId> first_child_;
+  std::vector<net::NodeId> next_sib_;
   SpfScratch scratch_;
   long full_ = 0;
   long skipped_ = 0;

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
+#include "src/net/graph_spec.h"
 #include "src/routing/routing_table.h"
+#include "src/sim/psn.h"
 #include "src/util/rng.h"
 
 namespace arpanet::routing {
@@ -163,6 +168,163 @@ TEST(IncrementalSpfTest, MatchesFullRecomputeOnRandomGraphs) {
     }
     EXPECT_GT(inc.skipped_updates() + inc.incremental_updates(), 0);
   }
+}
+
+// ---- tie-heavy differential ----
+//
+// Uniform and small-integer costs give most nodes several equal-cost
+// parents, so nearly every update re-runs the lowest-id tie break, and the
+// down cost moves whole subtrees at once.
+
+void expect_same_tree(const SpfTree& got, const SpfTree& want,
+                      const std::string& where) {
+  for (std::size_t v = 0; v < want.dist.size(); ++v) {
+    ASSERT_EQ(got.dist[v], want.dist[v]) << where << " node " << v;
+    ASSERT_EQ(got.parent_link[v], want.parent_link[v])
+        << where << " node " << v;
+    ASSERT_EQ(got.first_hop[v], want.first_hop[v]) << where << " node " << v;
+    ASSERT_EQ(got.hops[v], want.hops[v]) << where << " node " << v;
+  }
+}
+
+long first_hop_diff(const SpfTree& a, const SpfTree& b) {
+  long n = 0;
+  for (std::size_t v = 0; v < a.first_hop.size(); ++v) {
+    if (a.first_hop[v] != b.first_hop[v]) ++n;
+  }
+  return n;
+}
+
+/// Which kinds of update a stream exercised.
+struct StreamMix {
+  int tree_increase = 0;
+  int tree_decrease = 0;
+  int other_increase = 0;
+  int other_decrease = 0;
+  int down = 0;
+};
+
+/// Feeds `steps` random cost changes to an IncrementalSpf at `root` and
+/// checks the tree and the first-hop-change count against full recomputes
+/// after every one. Half the changes hit a current tree link. New costs
+/// are the link's neighbours in `levels`, a fresh level, or the down cost.
+void run_tie_stream(const Topology& t, LinkCosts costs, net::NodeId root,
+                    const std::vector<double>& levels, util::Rng& rng,
+                    int steps, bool reset_midway, StreamMix& mix) {
+  IncrementalSpf inc{t, root, costs};
+  SpfTree prev = Spf::compute(t, root, costs);
+  expect_same_tree(inc.tree(), prev, "ctor");
+  for (int step = 0; step < steps; ++step) {
+    const std::string where =
+        "root " + std::to_string(root) + " step " + std::to_string(step);
+    if (reset_midway && step == steps / 2) {
+      for (double& c : costs) c = levels[rng.uniform_index(levels.size())];
+      inc.reset(costs);
+      prev = Spf::compute(t, root, costs);
+      expect_same_tree(inc.tree(), prev, where + " reset");
+    }
+    net::LinkId link = net::kInvalidLink;
+    if (rng.uniform_index(2) == 0) {
+      const auto v =
+          static_cast<net::NodeId>(rng.uniform_index(t.node_count()));
+      link = prev.parent_link[v];
+    }
+    if (link == net::kInvalidLink) {
+      link = static_cast<net::LinkId>(rng.uniform_index(t.link_count()));
+    }
+    const bool on_tree = prev.uses_link(t, link);
+    const double old_cost = costs[link];
+    double new_cost = levels[rng.uniform_index(levels.size())];
+    if (rng.uniform_index(6) == 0) new_cost = sim::Psn::kDownLinkCost;
+    if (new_cost == old_cost) continue;
+
+    const long changes_before = inc.first_hop_changes();
+    inc.set_cost(link, new_cost);
+    costs[link] = new_cost;
+    const SpfTree full = Spf::compute(t, root, costs);
+    expect_same_tree(inc.tree(), full, where);
+    ASSERT_EQ(inc.first_hop_changes() - changes_before,
+              first_hop_diff(prev, full))
+        << where;
+    prev = full;
+
+    if (new_cost == sim::Psn::kDownLinkCost) ++mix.down;
+    if (new_cost > old_cost) {
+      ++(on_tree ? mix.tree_increase : mix.other_increase);
+    } else {
+      ++(on_tree ? mix.tree_decrease : mix.other_decrease);
+    }
+  }
+}
+
+TEST(IncrementalSpfTest, TieHeavyStreamsMatchFullRecompute) {
+  const Topology leo = net::TopologyBuilder::registry().build(
+      net::GraphSpec{"leo-grid"}.with_nodes(64));
+  util::Rng graph_rng{4242};
+  const Topology random = net::builders::random_connected(
+      40, 40, graph_rng, LineType::kTerrestrial56);
+
+  // leo-grid starts from uniform costs; its stream adds a second level so
+  // that tree links can also get cheaper again.
+  struct Case {
+    const Topology* topo;
+    bool uniform_start;
+    std::vector<double> levels;
+  };
+  const Case cases[] = {{&leo, true, {1.0, 2.0}},
+                        {&random, false, {1.0, 2.0, 3.0}}};
+  util::Rng rng{1989};
+  for (const Case& c : cases) {
+    StreamMix mix;
+    const std::size_t n = c.topo->node_count();
+    for (const std::size_t root : {std::size_t{0}, n / 3, n - 1}) {
+      LinkCosts costs(c.topo->link_count(), 1.0);
+      if (!c.uniform_start) {
+        for (double& cost : costs) {
+          cost = c.levels[rng.uniform_index(c.levels.size())];
+        }
+      }
+      run_tie_stream(*c.topo, costs, static_cast<net::NodeId>(root), c.levels,
+                     rng, 300, /*reset_midway=*/false, mix);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(mix.tree_increase, 0);
+    EXPECT_GT(mix.tree_decrease, 0);
+    EXPECT_GT(mix.other_increase, 0);
+    EXPECT_GT(mix.other_decrease, 0);
+    EXPECT_GT(mix.down, 0);
+  }
+}
+
+/// reset() rebuilds the tree from scratch; the incremental passes after it
+/// must walk the new tree, not the one the constructor built.
+TEST(IncrementalSpfTest, SetCostAfterResetMatchesFullRecompute) {
+  util::Rng graph_rng{77};
+  const Topology t = net::builders::random_connected(
+      30, 25, graph_rng, LineType::kTerrestrial56);
+  util::Rng rng{78};
+  StreamMix mix;
+  for (const net::NodeId root : {net::NodeId{0}, net::NodeId{17}}) {
+    LinkCosts costs(t.link_count());
+    for (double& c : costs) c = 1.0 + static_cast<double>(rng.uniform_index(3));
+    run_tie_stream(t, costs, root, {1.0, 2.0, 3.0}, rng, 200,
+                   /*reset_midway=*/true, mix);
+    if (HasFatalFailure()) return;
+  }
+
+  // A reset that moves most of the tree, then an increase on a link that is
+  // in the new tree but was not in the old one.
+  const Topology d = diamond();
+  LinkCosts costs(d.link_count(), 1.0);
+  costs[0] = 5.0;  // a->c->d is the tree; a->b is not
+  IncrementalSpf inc{d, 0, costs};
+  costs[0] = 1.0;
+  costs[2] = 5.0;  // now a->b->d
+  inc.reset(costs);
+  costs[4] = 9.0;  // b->d, in the reset tree only
+  inc.set_cost(4, 9.0);
+  expect_same_tree(inc.tree(), Spf::compute(d, 0, costs), "diamond");
+  EXPECT_EQ(inc.tree().first_hop[3], 2u);  // back through c
 }
 
 TEST(IncrementalSpfTest, ResetReplacesAllCosts) {

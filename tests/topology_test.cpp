@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
+#include "src/net/graph_spec.h"
 #include "src/routing/spf.h"
 
 namespace arpanet::net {
@@ -86,6 +88,39 @@ TEST(TopologyTest, OutLinks) {
   t.add_duplex(a, c, LineType::kTerrestrial56);
   EXPECT_EQ(t.out_links(a).size(), 2u);
   EXPECT_EQ(t.out_links(b).size(), 1u);
+}
+
+// in_links(v)[i] is the link from out_targets(v)[i] into v.
+void expect_in_links_parallel(const Topology& t) {
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    const auto ins = t.in_links(v);
+    const auto tos = t.out_targets(v);
+    ASSERT_EQ(ins.size(), tos.size()) << "node " << v;
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      EXPECT_EQ(t.link(ins[i]).from, tos[i]) << "node " << v << " slot " << i;
+      EXPECT_EQ(t.link(ins[i]).to, v) << "node " << v << " slot " << i;
+    }
+  }
+}
+
+TEST(TopologyTest, InLinksParallelOutTargets) {
+  const Topology graphs[] = {
+      TopologyBuilder::registry().build(GraphSpec{"leo-grid"}.with_nodes(64)),
+      builders::arpanet87().topo,
+  };
+  for (const Topology& original : graphs) {
+    expect_in_links_parallel(original);
+    const Topology copy{original};  // rebuilds its CSR cache on first access
+    expect_in_links_parallel(copy);
+    Topology assigned;
+    assigned = original;
+    expect_in_links_parallel(assigned);
+    Topology moved{std::move(assigned)};  // carries the built cache over
+    expect_in_links_parallel(moved);
+    Topology move_assigned;
+    move_assigned = std::move(moved);
+    expect_in_links_parallel(move_assigned);
+  }
 }
 
 TEST(TopologyTest, Connectivity) {
