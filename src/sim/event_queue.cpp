@@ -26,7 +26,7 @@ void EventQueue::reserve(std::size_t events) {
 }
 
 // ARPALINT-HOTPATH-BEGIN
-void EventQueue::schedule(util::SimTime at, SimEvent ev) {
+void EventQueue::schedule(util::SimTime at, SimEvent ev, std::uint64_t key) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -40,7 +40,7 @@ void EventQueue::schedule(util::SimTime at, SimEvent ev) {
     meta_.emplace_back();
   }
   meta_[slot].at_us = at.us();
-  meta_[slot].seq = next_seq_++;
+  meta_[slot].key = key != 0 ? key : next_unkeyed_++;
 
   if (size_ == 0) {
     // Empty queue: re-anchor the window so the first event's day is the
@@ -68,12 +68,12 @@ void EventQueue::insert_entry(std::uint32_t slot, bool count_overflow) {
   // An event can be scheduled for a day the window base has already passed
   // (its time is still >= the last pop, per the class contract); clamping
   // to the base day files it where the next scan looks, and the drain sort
-  // restores the exact (time, seq) order.
+  // restores the exact (time, key) order.
   if (day < base_day_) day = base_day_;
 
   if (drain_active_ && day == base_day_) {
     // The day being drained keeps its entries sorted; merge in place.
-    const Entry e{at_us, meta_[slot].seq, slot};
+    const Entry e{at_us, meta_[slot].key, slot};
     // ARPALINT-ALLOW(hot-path-alloc): drain vector retains capacity across days
     drain_.insert(std::lower_bound(drain_.begin(), drain_.end(), e, later),
                   e);
@@ -86,7 +86,7 @@ void EventQueue::insert_entry(std::uint32_t slot, bool count_overflow) {
     ++bucketed_;
     return;
   }
-  const Entry e{at_us, meta_[slot].seq, slot};
+  const Entry e{at_us, meta_[slot].key, slot};
   // ARPALINT-ALLOW(hot-path-alloc): overflow vector retains capacity
   overflow_.insert(
       std::lower_bound(overflow_.begin(), overflow_.end(), e, later), e);
@@ -125,7 +125,7 @@ void EventQueue::prepare() {
   buckets_[static_cast<std::size_t>(d) & mask_] = kNil;
   while (s != kNil) {
     // ARPALINT-ALLOW(hot-path-alloc): drain vector retains capacity across days
-    drain_.push_back(Entry{meta_[s].at_us, meta_[s].seq, s});
+    drain_.push_back(Entry{meta_[s].at_us, meta_[s].key, s});
     s = meta_[s].next;
     --bucketed_;
   }

@@ -4,15 +4,23 @@
 // power-of-two-width "day" buckets covering a sliding window of virtual
 // time, with a sorted overflow list for events beyond the window. Scheduling
 // links the event into its day's bucket in O(1); dequeueing drains one day
-// at a time, sorting that day's handful of entries by (time, sequence) —
+// at a time, sorting that day's handful of entries by (time, tie key) —
 // amortized O(1) per event for the near-future-clustered distributions a
 // queueing-network simulation produces, where the old binary heap paid an
 // O(log n) sift on every operation at depths in the thousands.
 //
-// The sequence number makes ordering of simultaneous events deterministic
-// (FIFO in scheduling order); the drain sort recovers the exact (time, seq)
-// total order the heap produced, so whole-network runs stay bit-reproducible
-// for a given seed — the golden bench report does not move.
+// Simultaneous events pop in ascending tie key. The simulator's own events
+// carry a key that names their owner and the owner's schedule count
+// (event_key below: a PSN's id, or the fault engine's reserved owner), so
+// the order of same-microsecond events depends only on which node scheduled
+// them and how many events that node had scheduled before — never on the
+// interleaving of other nodes' work. That is what makes a sharded run
+// (sim/shard.h) pop every node's events in exactly the single-shard order.
+// Unkeyed events (tests, one-off callbacks, microbenchmarks) get the next
+// value of the queue's own FIFO counter, which stays below every keyed
+// value: among themselves they pop in scheduling order, ahead of keyed
+// events at the same time. The drain sort recovers the exact (time, key)
+// total order, so runs are bit-reproducible for a given seed.
 //
 // Events live in a recycled slab (contiguous vector + freelist, like
 // sim/packet_pool.h); buckets are intrusive singly-linked lists threaded
@@ -39,11 +47,27 @@
 
 namespace arpanet::sim {
 
+/// Bits of a tie key below the owner field: the owner's schedule count.
+inline constexpr int kEventKeyOwnerShift = 40;
+/// The owner field value reserved for fault actions (their count field is
+/// the compiled action index); PSN owners are node id + 1, below it.
+inline constexpr std::uint64_t kFaultEventOwner =
+    (std::uint64_t{1} << (64 - kEventKeyOwnerShift)) - 1;
+
+/// The tie key of an owner's `count`-th scheduled event. Owner 0 is never
+/// used, so every keyed event orders after every unkeyed one.
+[[nodiscard]] constexpr std::uint64_t event_key(std::uint64_t owner,
+                                                std::uint64_t count) {
+  return (owner << kEventKeyOwnerShift) | count;
+}
+
 class EventQueue {
  public:
   EventQueue();
 
-  void schedule(util::SimTime at, SimEvent ev);
+  /// Schedules `ev` at `at`; simultaneous events pop in ascending `key`
+  /// (see event_key). key 0 means unkeyed: FIFO among the unkeyed.
+  void schedule(util::SimTime at, SimEvent ev, std::uint64_t key = 0);
 
   /// Convenience: wraps a callable into a SimEvent::callback event.
   template <typename F>
@@ -83,18 +107,18 @@ class EventQueue {
   }
 
  private:
-  /// A (time, seq) key plus the slab slot it refers to; the element of the
-  /// sorted drain and overflow lists.
+  /// A (time, tie key) pair plus the slab slot it refers to; the element of
+  /// the sorted drain and overflow lists.
   struct Entry {
     std::int64_t at_us = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t key = 0;
     std::uint32_t slot = 0;
   };
 
   /// Per-slot schedule key and intrusive bucket-list link.
   struct SlotMeta {
     std::int64_t at_us = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t key = 0;
     std::uint32_t next = 0;
   };
 
@@ -109,10 +133,10 @@ class EventQueue {
   /// holds the majority of pending events).
   static constexpr std::size_t kOverflowTrigger = 64;
 
-  /// Strict descending (time, seq) order, so the back() of a sorted vector
+  /// Strict descending (time, key) order, so the back() of a sorted vector
   /// is the earliest entry and pops are pop_back().
   [[nodiscard]] static bool later(const Entry& a, const Entry& b) {
-    return a.at_us != b.at_us ? a.at_us > b.at_us : a.seq > b.seq;
+    return a.at_us != b.at_us ? a.at_us > b.at_us : a.key > b.key;
   }
 
   [[nodiscard]] std::int64_t day_of(std::int64_t at_us) const {
@@ -160,7 +184,7 @@ class EventQueue {
 
   std::vector<std::uint32_t> scratch_;  ///< resize relink staging
 
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_unkeyed_ = 1;  ///< FIFO key of the next unkeyed event
   std::size_t size_ = 0;
   std::size_t peak_size_ = 0;
   std::uint64_t resizes_ = 0;

@@ -33,9 +33,8 @@ void HostFlowLayer::add_pair(net::NodeId src, net::NodeId dst, double bps) {
   const double msgs_per_sec = bps / cfg_.mean_message_bits;
   const std::uint64_t stream = key(src, dst);
   pairs_.push_back(std::make_unique<Pair>(Pair{
-      src, dst,
-      traffic::PoissonProcess{msgs_per_sec,
-                              util::Rng{net_.config().seed}.split(stream)},
+      src, dst, traffic::PoissonProcess{msgs_per_sec},
+      util::Rng{net_.config().seed}.split(stream),
       util::Rng{net_.config().seed ^ 0x90edULL}.split(stream),
       {}, {}}));
   pair_index_[stream] = pairs_.size() - 1;
@@ -53,9 +52,10 @@ void HostFlowLayer::add_traffic(const traffic::TrafficMatrix& matrix) {
 void HostFlowLayer::schedule_message(std::size_t pair_index) {
   Pair& pair = *pairs_[pair_index];
   net_.simulator().schedule_in(
-      pair.arrivals.next_gap(),
+      pair.arrivals.next_gap(pair.arrival_rng),
       SimEvent::host_flow_message(*this,
-                                  static_cast<std::uint32_t>(pair_index)));
+                                  static_cast<std::uint32_t>(pair_index)),
+      net_.psn(pair.src).next_event_key());
 }
 
 void HostFlowLayer::handle_event(SimEvent& ev) {
@@ -117,7 +117,8 @@ void HostFlowLayer::arm_timeout(std::size_t pair_index, std::uint64_t message_id
       cfg_.rfnm_timeout,
       SimEvent::host_flow_timeout(*this,
                                   static_cast<std::uint32_t>(pair_index),
-                                  message_id, retransmit_generation));
+                                  message_id, retransmit_generation),
+      net_.psn(pairs_[pair_index]->src).next_event_key());
 }
 
 void HostFlowLayer::on_timeout(std::size_t pair_index, std::uint64_t message_id,

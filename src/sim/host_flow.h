@@ -89,6 +89,7 @@ class HostFlowLayer : public EventSink {
     net::NodeId src;
     net::NodeId dst;
     traffic::PoissonProcess arrivals;
+    util::Rng arrival_rng;
     util::Rng size_rng;
     std::deque<Message> backlog;
     std::unordered_map<std::uint64_t, Message> outstanding;

@@ -29,6 +29,9 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   if (!topo.is_connected()) {
     throw std::invalid_argument("topology must be connected");
   }
+  // Node tie keys use owners 1..n; the top owner value is the fault engine's.
+  ARPA_CHECK(topo.node_count() < kFaultEventOwner)
+      << "too many nodes for the event tie-key owner field";
   part_ = net::partition_topology(topo, cfg.shards, cfg.seed);
   const auto shard_count = static_cast<std::size_t>(part_.shards);
   shards_.reserve(shard_count);
@@ -115,37 +118,44 @@ void Network::add_traffic(const traffic::TrafficMatrix& matrix) {
   if (matrix.nodes() != topo_->node_count()) {
     throw std::invalid_argument("traffic matrix size != node count");
   }
+  ARPA_CHECK(sources_.empty()) << "add_traffic may be called at most once";
+  std::vector<double> weights;
   for (net::NodeId s = 0; s < matrix.nodes(); ++s) {
+    std::vector<net::NodeId> dests;
+    weights.clear();
+    double row_bps = 0.0;
     for (net::NodeId d = 0; d < matrix.nodes(); ++d) {
       const double bps = matrix.at(s, d);
       if (bps <= 0.0) continue;
-      const double pkts_per_sec = bps / cfg_.mean_packet_bits;
-      const std::uint64_t stream =
-          static_cast<std::uint64_t>(s) * matrix.nodes() + d;
-      sources_.push_back(std::make_unique<Source>(Source{
-          s, d, traffic::PoissonProcess{pkts_per_sec, rng_.split(stream)},
-          rng_.split(stream + 0x8000'0000ULL)}));
-      // Source ticks belong to the source node's shard.
-      const ShardScope scope{*this, shard_of_node(s)};
-      schedule_arrival(sources_.size() - 1);
+      dests.push_back(d);
+      weights.push_back(bps);
+      row_bps += bps;
     }
+    if (dests.empty()) continue;
+    sources_.push_back(Source{
+        s, traffic::PoissonProcess{row_bps / cfg_.mean_packet_bits},
+        traffic::AliasTable{weights}, std::move(dests), rng_.split(s)});
+    // Source ticks belong to the source node's shard.
+    const ShardScope scope{*this, shard_of_node(s)};
+    schedule_tick(static_cast<std::uint32_t>(sources_.size() - 1));
   }
 }
 
-void Network::schedule_arrival(std::size_t source_index) {
-  Source& src = *sources_[source_index];
-  current_shard().sim.schedule_in(
-      src.process.next_gap(),
-      SimEvent::source_tick(*this, static_cast<std::uint32_t>(source_index)));
+void Network::schedule_tick(std::uint32_t source_index) {
+  Source& src = sources_[source_index];
+  current_shard().sim.schedule_in(src.process.next_gap(src.rng),
+                                  SimEvent::source_tick(*this, source_index),
+                                  psns_[src.node]->next_event_key());
 }
 
 void Network::handle_event(SimEvent& ev) {
   switch (ev.kind()) {
     case SimEvent::Kind::kSourceTick: {
       if (!traffic_enabled_) break;  // stop_traffic(): let the queues drain
-      Source& s = *sources_[ev.index()];
-      psns_[s.src]->originate_data(s.dst, sizer_.sample(s.size_rng));
-      schedule_arrival(ev.index());
+      Source& s = sources_[ev.index()];
+      const net::NodeId dst = s.dests[s.pick.sample(s.rng)];
+      psns_[s.node]->originate_data(dst, sizer_.sample(s.rng));
+      schedule_tick(ev.index());
       break;
     }
     case SimEvent::Kind::kPropagationArrival:
@@ -212,42 +222,24 @@ void Network::run_window_loop(Shard& sh, util::SimTime end,
 }
 
 void Network::drain_mailboxes(Shard& sh) {
-  std::vector<Shard::MailRef>& scratch = sh.drain_scratch;
-  scratch.clear();
   for (const auto& src : shards_) {
-    const std::vector<MailMsg>& box = src->outbox[sh.index];
-    for (std::size_t i = 0; i < box.size(); ++i) {
-      scratch.push_back(
-          {box[i].arrival_us, src->index, static_cast<std::uint32_t>(i)});
+    std::vector<MailMsg>& box = src->outbox[sh.index];
+    for (MailMsg& m : box) {
+      const PacketHandle h = sh.pool.acquire(std::move(m.pkt));
+      if (m.has_update) {
+        const UpdateHandle uh = sh.updates.acquire();
+        routing::RoutingUpdate& u = sh.updates.at(uh);
+        u.origin = m.update.origin;
+        u.seq = m.update.seq;
+        u.reports.assign(m.update.reports.begin(), m.update.reports.end());
+        sh.pool.at(h).update = uh;
+      }
+      sh.sim.schedule_at(util::SimTime::from_us(m.arrival_us),
+                         SimEvent::propagation_arrival(*this, m.link, h),
+                         m.key);
     }
+    box.clear();
   }
-  if (scratch.empty()) return;
-  // Deterministic admission order: arrival time, then source shard, then
-  // send order within the mailbox. Every run with the same partition
-  // schedules cross-shard arrivals in exactly this sequence.
-  std::sort(scratch.begin(), scratch.end(),
-            [](const Shard::MailRef& a, const Shard::MailRef& b) {
-              if (a.arrival_us != b.arrival_us) {
-                return a.arrival_us < b.arrival_us;
-              }
-              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
-              return a.idx < b.idx;
-            });
-  for (const Shard::MailRef& r : scratch) {
-    MailMsg& m = shards_[r.src_shard]->outbox[sh.index][r.idx];
-    const PacketHandle h = sh.pool.acquire(std::move(m.pkt));
-    if (m.has_update) {
-      const UpdateHandle uh = sh.updates.acquire();
-      routing::RoutingUpdate& u = sh.updates.at(uh);
-      u.origin = m.update.origin;
-      u.seq = m.update.seq;
-      u.reports.assign(m.update.reports.begin(), m.update.reports.end());
-      sh.pool.at(h).update = uh;
-    }
-    sh.sim.schedule_at(util::SimTime::from_us(m.arrival_us),
-                       SimEvent::propagation_arrival(*this, m.link, h));
-  }
-  for (const auto& src : shards_) src->outbox[sh.index].clear();
 }
 
 void Network::reset_stats() {
@@ -361,10 +353,14 @@ void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
 
 void Network::deliver_to_peer(net::LinkId link, PacketHandle pkt) {
   Shard& sh = current_shard();
-  Shard& dst = shard_of_node(topo_->link(link).to);
+  const net::Link& l = topo_->link(link);
+  Shard& dst = shard_of_node(l.to);
+  // The sender keys the arrival, so it sorts the same whichever shard's
+  // queue it lands in.
+  const std::uint64_t key = psns_[l.from]->next_event_key();
   if (&dst == &sh) {
     sh.sim.schedule_in(effective_links_[link].prop_delay,
-                       SimEvent::propagation_arrival(*this, link, pkt));
+                       SimEvent::propagation_arrival(*this, link, pkt), key);
     return;
   }
   // Cross-shard hop: copy the packet (and any pooled update payload) out of
@@ -374,6 +370,7 @@ void Network::deliver_to_peer(net::LinkId link, PacketHandle pkt) {
   Packet& p = sh.pool.at(pkt);
   MailMsg msg;
   msg.arrival_us = (sh.sim.now() + effective_links_[link].prop_delay).us();
+  msg.key = key;
   msg.link = link;
   if (p.update != kInvalidUpdateHandle) {
     msg.has_update = true;
@@ -503,10 +500,13 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
       const auto end = static_cast<std::uint32_t>(sh.fault_ops.size());
       if (end == begin) continue;
       sh.fault_actions.push_back({i, k == primary, begin, end});
+      // Keyed by the plan's action index: every shard applying a slice of
+      // action i orders it identically against simultaneous node events.
       sh.sim.schedule_at(
-          a.at, SimEvent::fault_action(
-                    *this,
-                    static_cast<std::uint32_t>(sh.fault_actions.size() - 1)));
+          a.at,
+          SimEvent::fault_action(
+              *this, static_cast<std::uint32_t>(sh.fault_actions.size() - 1)),
+          event_key(kFaultEventOwner, i));
     }
   }
   // One AppliedUpgrade record per upgrade half a shard owns (bounded by its
@@ -606,9 +606,10 @@ std::uint64_t Network::events_processed() const {
   return total;
 }
 
-void Network::reserve_event_headroom() {
+void Network::reserve_window_headroom() {
   for (auto& sh : shards_) {
     sh->sim.reserve_events(4 * sh->sim.queue_peak_depth());
+    sh->updates.reserve(2 * sh->updates.slots());
   }
 }
 

@@ -21,9 +21,17 @@
 // sent across a shard boundary inside one window cannot arrive before the
 // next, so each shard runs a window without ever looking at another
 // shard's queue. Cross-shard arrivals travel through per-shard-pair
-// mailboxes drained in deterministic (time, source shard, sequence) order
-// at window boundaries. With the default shards=1 the same code runs the
-// caller's thread straight through — no second engine, no divergence.
+// mailboxes drained at window boundaries. Every event carries a tie key
+// naming the node that scheduled it and that node's schedule count
+// (sim/event_queue.h), so simultaneous events pop in the same order at any
+// shard count: a sharded run is the single-shard run, bit for bit. With
+// the default shards=1 the same code runs the caller's thread straight
+// through — no second engine, no divergence.
+//
+// Offered traffic is one aggregate Poisson source per PSN with a nonzero
+// matrix row (add_traffic), not one per (source, destination) pair: the
+// same traffic in distribution, with O(n) sources and pending ticks
+// instead of O(n²).
 
 #pragma once
 
@@ -58,6 +66,7 @@
 #include "src/stats/indicators.h"
 #include "src/stats/summary.h"
 #include "src/stats/time_series.h"
+#include "src/traffic/alias_table.h"
 #include "src/traffic/poisson_source.h"
 #include "src/traffic/traffic_matrix.h"
 #include "src/util/rng.h"
@@ -128,8 +137,13 @@ class Network : public EventSink {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Installs Poisson sources for every nonzero matrix entry. May be called
-  /// once, before running.
+  /// Installs one Poisson source per PSN whose matrix row is nonzero: it
+  /// ticks at the row's total packet rate and draws each packet's
+  /// destination from an alias table over the row's nonzero entries, so
+  /// every (source, destination) pair is offered its own rate as an
+  /// independent Poisson stream — the superposition, in one process. Each
+  /// source's random stream is split from the seed by its node id. May be
+  /// called once, before running.
   void add_traffic(const traffic::TrafficMatrix& matrix);
 
   /// Stops all sources: no packet is originated after this call. Running
@@ -194,9 +208,11 @@ class Network : public EventSink {
 
   /// Events processed across all shards over the network's lifetime.
   [[nodiscard]] std::uint64_t events_processed() const;
-  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth,
-  /// so a measurement window after warm-up schedules into existing storage.
-  void reserve_event_headroom();
+  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth
+  /// and its update pool to 2x its slot high-water mark, so a measurement
+  /// window after warm-up schedules and floods into existing storage even
+  /// when its bursts outgrow anything warm-up saw.
+  void reserve_window_headroom();
 
   /// Number of simulation shards (== config().shards).
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -352,11 +368,14 @@ class Network : public EventSink {
   }
 
  private:
+  /// One PSN's offered traffic: its matrix row as one Poisson process.
+  /// `rng` draws the gaps, destinations and packet sizes.
   struct Source {
-    net::NodeId src;
-    net::NodeId dst;
+    net::NodeId node;
     traffic::PoissonProcess process;
-    util::Rng size_rng;
+    traffic::AliasTable pick;        ///< index into dests, by rate
+    std::vector<net::NodeId> dests;  ///< the row's nonzero destinations
+    util::Rng rng;
   };
   /// Resources a line-type upgrade needs, built at install_faults time so
   /// applying the upgrade mid-window performs no allocation: the new link
@@ -401,11 +420,12 @@ class Network : public EventSink {
     return *shards_[part_.shard_of[n]];
   }
 
-  void schedule_arrival(std::size_t source_index);
+  void schedule_tick(std::uint32_t source_index);
   void apply_fault(Shard& sh, std::uint32_t shard_action_index);
   void apply_upgrade_half(Shard& sh, const ShardFaultOp& op);
   /// Moves every message addressed to `sh` from the other shards' outboxes
-  /// into sh's queue, in (arrival time, source shard, send order) order.
+  /// into sh's queue. Each carries the tie key its sender stamped, so the
+  /// order they are scheduled in does not matter.
   void drain_mailboxes(Shard& sh);
   void run_window_loop(Shard& sh, util::SimTime end, std::barrier<>& sync);
 
@@ -421,7 +441,7 @@ class Network : public EventSink {
   util::Rng rng_;
   traffic::PacketSizer sizer_;
   std::vector<std::unique_ptr<Psn>> psns_;
-  std::vector<std::unique_ptr<Source>> sources_;
+  std::vector<Source> sources_;
   std::vector<std::vector<int>> min_hop_table_;
   std::function<void(const Packet&)> delivery_hook_;
   PacketTracer* tracer_ = nullptr;

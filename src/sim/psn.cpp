@@ -68,7 +68,7 @@ void Psn::start() {
     const util::SimTime period = net_.config().dv_exchange_period;
     const util::SimTime offset = util::SimTime::from_us(
         period.us() * (static_cast<std::int64_t>(id_) % 16) / 16);
-    net_.simulator().schedule_in(period + offset, SimEvent::dv_tick(net_, id_));
+    schedule_in(period + offset, SimEvent::dv_tick(net_, id_));
     return;
   }
   // Measurement periods are staggered across nodes (the real PSNs' clocks
@@ -78,8 +78,11 @@ void Psn::start() {
   const auto nodes = static_cast<std::int64_t>(net_.topology().node_count());
   const util::SimTime offset = util::SimTime::from_us(
       period.us() * (static_cast<std::int64_t>(id_) % nodes) / std::max<std::int64_t>(nodes, 1));
-  net_.simulator().schedule_in(period + offset,
-                               SimEvent::measurement_period(net_, id_));
+  schedule_in(period + offset, SimEvent::measurement_period(net_, id_));
+}
+
+void Psn::schedule_in(util::SimTime delay, SimEvent ev) {
+  net_.simulator().schedule_in(delay, std::move(ev), next_event_key());
 }
 
 Psn::OutLink& Psn::out_for(net::LinkId link) {
@@ -278,9 +281,8 @@ void Psn::maybe_start_tx(OutLink& out) {
   const bool is_update = pkt.kind != Packet::Kind::kData;
 
   // The packet rides the typed completion event; no closure, no copy.
-  net_.simulator().schedule_in(
-      tx, SimEvent::transmit_complete(net_, id_, out.id, item.pkt, queue_delay,
-                                      tx, is_update));
+  schedule_in(tx, SimEvent::transmit_complete(net_, id_, out.id, item.pkt,
+                                              queue_delay, tx, is_update));
 }
 
 void Psn::on_transmit_complete(net::LinkId link, util::SimTime queue_delay,
@@ -364,8 +366,8 @@ void Psn::measurement_period() {
   }
   if (significant) originate_update(candidates);
 
-  net_.simulator().schedule_in(net_.config().measurement_period,
-                               SimEvent::measurement_period(net_, id_));
+  schedule_in(net_.config().measurement_period,
+              SimEvent::measurement_period(net_, id_));
 }
 // ARPALINT-HOTPATH-END
 
@@ -441,8 +443,7 @@ double Psn::dv_link_metric(const OutLink& out) const {
 void Psn::dv_tick() {
   dv_recompute();
   dv_advertise();
-  net_.simulator().schedule_in(net_.config().dv_exchange_period,
-                               SimEvent::dv_tick(net_, id_));
+  schedule_in(net_.config().dv_exchange_period, SimEvent::dv_tick(net_, id_));
 }
 
 void Psn::dv_recompute() {

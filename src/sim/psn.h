@@ -27,6 +27,7 @@
 #include "src/routing/significance.h"
 #include "src/routing/spf.h"
 #include "src/sim/event.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/packet.h"
 #include "src/sim/ring_queue.h"
 
@@ -66,6 +67,15 @@ class Psn {
   [[nodiscard]] const routing::SpfTree& tree() const { return spf_.tree(); }
   [[nodiscard]] const routing::IncrementalSpf& spf() const { return spf_; }
   [[nodiscard]] long updates_originated() const { return updates_originated_; }
+
+  /// Tie key for the next event scheduled on this node's behalf — its own
+  /// timers and completions, the arrivals it sends to neighbours, its
+  /// traffic source's ticks (sim/event_queue.h, event_key). The count is
+  /// per node, and only the node's own shard advances it, so simultaneous
+  /// events order the same way at any shard count.
+  [[nodiscard]] std::uint64_t next_event_key() {
+    return event_key(static_cast<std::uint64_t>(id_) + 1, events_keyed_++);
+  }
 
   /// Cost this node's metric most recently reported for one of its own
   /// outgoing links.
@@ -130,6 +140,8 @@ class Psn {
           filter{std::move(f)}, reported{initial}, last_candidate{initial} {}
   };
 
+  /// Schedules one of this node's own events, keyed by next_event_key().
+  void schedule_in(util::SimTime delay, SimEvent ev);
   void forward(PacketHandle pkt);
   void enqueue(OutLink& out, PacketHandle pkt, bool priority);
   void drop_queued(OutLink& out);
@@ -151,6 +163,7 @@ class Psn {
   routing::FloodingState flood_state_;
   std::vector<OutLink> out_;
   std::uint64_t seq_ = 0;
+  std::uint64_t events_keyed_ = 0;  ///< next_event_key's per-node count
   long updates_originated_ = 0;
   /// Scratch for measurement_period's per-link candidate costs; persistent
   /// so closing a period allocates nothing at steady state.

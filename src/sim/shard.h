@@ -35,6 +35,7 @@ namespace arpanet::sim {
 /// so the two shards' UpdatePools never share a slot.
 struct MailMsg {
   std::int64_t arrival_us = 0;  ///< absolute arrival time, microseconds
+  std::uint64_t key = 0;        ///< the arrival event's tie key
   net::LinkId link = net::kInvalidLink;
   Packet pkt;
   bool has_update = false;
@@ -109,14 +110,6 @@ struct alignas(64) Shard {
   /// outbox[d]: messages headed to shard d, appended during this shard's
   /// run phase, drained (and cleared) by shard d in the next drain phase.
   std::vector<std::vector<MailMsg>> outbox;
-
-  /// Drain-phase scratch: (arrival, source shard, index) sort keys.
-  struct MailRef {
-    std::int64_t arrival_us;
-    std::uint32_t src_shard;
-    std::uint32_t idx;
-  };
-  std::vector<MailRef> drain_scratch;
 };
 
 }  // namespace arpanet::sim

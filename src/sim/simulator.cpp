@@ -7,9 +7,9 @@
 
 namespace arpanet::sim {
 
-void Simulator::schedule_at(util::SimTime at, SimEvent ev) {
+void Simulator::schedule_at(util::SimTime at, SimEvent ev, std::uint64_t key) {
   if (at < now_) throw std::logic_error("scheduling into the past");
-  queue_.schedule(at, std::move(ev));
+  queue_.schedule(at, std::move(ev), key);
 }
 
 void Simulator::run_until(util::SimTime end) {
@@ -24,7 +24,7 @@ bool Simulator::step() {
   util::SimTime at;
   SimEvent ev = queue_.pop(at);
   // The virtual clock never runs backwards: schedule_at rejects past times,
-  // and the heap pops in (time, seq) order.
+  // and the queue pops in (time, key) order.
   ARPA_DCHECK(at >= now_) << "event queue popped " << at.us()
                           << "us behind the clock " << now_.us() << "us";
   now_ = at;

@@ -16,10 +16,12 @@ class Simulator {
   [[nodiscard]] util::SimTime now() const { return now_; }
 
   /// Schedules a typed event at an absolute time (must not be in the past).
-  void schedule_at(util::SimTime at, SimEvent ev);
+  /// `key` orders it among simultaneous events (sim/event_queue.h,
+  /// event_key); 0 leaves it unkeyed.
+  void schedule_at(util::SimTime at, SimEvent ev, std::uint64_t key = 0);
   /// Schedules a typed event `delay` from now.
-  void schedule_in(util::SimTime delay, SimEvent ev) {
-    schedule_at(now_ + delay, std::move(ev));
+  void schedule_in(util::SimTime delay, SimEvent ev, std::uint64_t key = 0) {
+    schedule_at(now_ + delay, std::move(ev), key);
   }
 
   /// Callable convenience overloads (rare/test-only events; recurring kinds

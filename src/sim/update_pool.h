@@ -91,6 +91,19 @@ class UpdatePool {
     for (Slot& s : slots_) s.update.reports.reserve(n);
   }
 
+  /// Grows the pool to at least `n` slots, each created with the reports
+  /// capacity and parked on the freelist, so a later burst of up to `n`
+  /// updates in flight acquires without allocating.
+  void reserve(std::size_t n) {
+    free_.reserve(n);
+    while (slots_.size() < n) {
+      const auto h = static_cast<UpdateHandle>(slots_.size());
+      slots_.emplace_back();
+      slots_[h].update.reports.reserve(report_capacity_);
+      free_.push_back(h);
+    }
+  }
+
   /// Distinct slots ever created (the pool's footprint).
   [[nodiscard]] std::size_t slots() const { return slots_.size(); }
   /// Slots currently referenced by at least one packet or originator.

@@ -4,13 +4,12 @@
 
 namespace arpanet::traffic {
 
-PoissonProcess::PoissonProcess(double rate_per_sec, util::Rng rng)
-    : rate_{rate_per_sec}, rng_{rng} {
+PoissonProcess::PoissonProcess(double rate_per_sec) : rate_{rate_per_sec} {
   if (!(rate_per_sec > 0.0)) throw std::invalid_argument("rate must be positive");
 }
 
-util::SimTime PoissonProcess::next_gap() {
-  return util::SimTime::from_sec(rng_.exponential(1.0 / rate_));
+util::SimTime PoissonProcess::next_gap(util::Rng& rng) const {
+  return util::SimTime::from_sec(rng.exponential(1.0 / rate_));
 }
 
 PacketSizer::PacketSizer(double mean_bits, double floor_bits)

@@ -1,9 +1,14 @@
 // Poisson packet arrival sampling.
 //
-// Each nonzero traffic-matrix entry becomes an independent Poisson arrival
-// process with shifted-exponential packet sizes, matching the M/M/1
-// assumptions of the HNM's delay-to-utilization conversion (mean 600 bits
-// network-wide).
+// Offered traffic is Poisson with shifted-exponential packet sizes, matching
+// the M/M/1 assumptions of the HNM's delay-to-utilization conversion (mean
+// 600 bits network-wide). sim::Network runs one aggregate process per PSN
+// at its matrix row's total rate: a superposition of independent Poisson
+// streams is itself Poisson at the summed rate, with each arrival's
+// destination drawn in proportion to the per-destination rates
+// (traffic/alias_table.h), so one source per node offers exactly the
+// traffic of one source per (source, destination) pair, in distribution.
+// Both samplers here are stateless; the caller owns the random stream.
 
 #pragma once
 
@@ -15,15 +20,14 @@ namespace arpanet::traffic {
 /// Interarrival-gap sampler for a Poisson process.
 class PoissonProcess {
  public:
-  PoissonProcess(double rate_per_sec, util::Rng rng);
+  explicit PoissonProcess(double rate_per_sec);
 
   [[nodiscard]] double rate_per_sec() const { return rate_; }
-  /// Next exponential interarrival gap.
-  [[nodiscard]] util::SimTime next_gap();
+  /// Next exponential interarrival gap, drawn from `rng`.
+  [[nodiscard]] util::SimTime next_gap(util::Rng& rng) const;
 
  private:
   double rate_;
-  util::Rng rng_;
 };
 
 /// Packet sizes: floor + exponential tail, with the configured overall mean.

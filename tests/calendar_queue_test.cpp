@@ -177,11 +177,8 @@ TEST(CalendarQueueTest, FifoTieBreakSurvivesAResize) {
 }
 
 TEST(CalendarQueueTest, SameTickFifoIsKindAgnostic) {
-  // Fault actions ride the same calendar queue as every other event kind; at
-  // a shared tick the pop order is the scheduling order, regardless of kind.
-  // The fault engine's determinism contract (docs/faults.md) rests on this:
-  // a link-down landing on a measurement tick must always dispatch in the
-  // order it was scheduled.
+  // Unkeyed events of every kind share one FIFO counter: at a shared tick
+  // the pop order is the scheduling order, regardless of kind.
   EventQueue q;
   NullSink sink;
   const SimTime tie = SimTime::from_ms(250);
@@ -215,6 +212,47 @@ TEST(CalendarQueueTest, SameTickFifoIsKindAgnostic) {
     ++expected;
   }
   EXPECT_EQ(expected, 90u);
+}
+
+TEST(CalendarQueueTest, KeyedTiesPopInKeyOrderWhateverTheScheduleOrder) {
+  // The sharded engine's contract: simultaneous keyed events pop in key
+  // order however they were scheduled, and unkeyed events at the same time
+  // pop first, FIFO. Keys arrive scrambled, across grow resizes, overflow
+  // and mid-drain inserts.
+  EventQueue q;
+  NullSink sink;
+  Lcg rng{99};
+  struct Want {
+    std::int64_t at_us;
+    std::uint64_t key;  ///< the FIFO rank for unkeyed events
+    std::uint64_t id;
+  };
+  std::vector<Want> want;
+  std::uint64_t unkeyed = 0;
+  for (std::uint64_t id = 0; id < 4000; ++id) {
+    const auto at_us = static_cast<std::int64_t>(rng.next() % 8) * 1000;
+    const bool keyed = rng.next() % 4 != 0;
+    // Distinct keys: the id scrambled into the count field of a node owner.
+    const std::uint64_t key =
+        keyed ? event_key(1 + rng.next() % 50, (id * 7919) % 4001) : 0;
+    q.schedule(SimTime::from_us(at_us),
+               SimEvent::host_flow_timeout(sink, 0, id, 0), key);
+    want.push_back({at_us, keyed ? key : unkeyed++, id});
+  }
+  std::sort(want.begin(), want.end(), [](const Want& a, const Want& b) {
+    // FIFO ranks sit below every keyed value, so one comparison covers
+    // both kinds.
+    return a.at_us != b.at_us ? a.at_us < b.at_us : a.key < b.key;
+  });
+  EXPECT_GT(q.resizes(), 0u);
+  SimTime at;
+  for (const Want& w : want) {
+    ASSERT_FALSE(q.empty());
+    const SimEvent ev = q.pop(at);
+    EXPECT_EQ(at.us(), w.at_us);
+    ASSERT_EQ(ev.id(), w.id) << "tie order broken at t=" << w.at_us;
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(CalendarQueueTest, ReAnchorsAfterDrainingToEmpty) {

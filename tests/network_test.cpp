@@ -2,6 +2,9 @@
 
 #include "src/sim/network.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/net/builders/builders.h"
@@ -232,6 +235,46 @@ TEST(NetworkTest, RejectsDisconnectedTopologyAndBadMatrix) {
   Network net{ok, NetworkConfig{}};
   EXPECT_THROW(net.add_traffic(traffic::TrafficMatrix{5}),
                std::invalid_argument);
+}
+
+TEST(NetworkTest, AggregateSourcesOfferEveryPairItsOwnRate) {
+  // One Poisson source per PSN stands in for one per (source, destination)
+  // pair. At a load that drops nothing, each pair's delivered count over T
+  // is then Poisson with mean rate x T, so it must land within 4 sigma.
+  constexpr std::size_t kNodes = 6;
+  const net::Topology topo = net::builders::ring(static_cast<int>(kNodes));
+  const traffic::TrafficMatrix m =
+      traffic::TrafficMatrix::peak_hour(kNodes, 30e3, util::Rng{3});
+  NetworkConfig cfg;
+  Network net{topo, cfg};
+  std::vector<long> delivered(kNodes * kNodes, 0);
+  net.set_delivery_hook(
+      [&delivered](const Packet& p) { ++delivered[p.src * kNodes + p.dst]; });
+  net.add_traffic(m);
+  const SimTime horizon = SimTime::from_sec(600);
+  net.run_for(horizon);
+  net.stop_traffic();
+  net.run_for(SimTime::from_sec(30));
+
+  const NetworkStats& s = net.stats();
+  ASSERT_EQ(s.packets_dropped_queue + s.packets_dropped_unreachable +
+                s.packets_dropped_loop,
+            0);
+  ASSERT_EQ(s.packets_generated, s.packets_delivered);
+  for (net::NodeId src = 0; src < kNodes; ++src) {
+    for (net::NodeId dst = 0; dst < kNodes; ++dst) {
+      const double expected =
+          m.at(src, dst) / cfg.mean_packet_bits * horizon.sec();
+      const long got = delivered[src * kNodes + dst];
+      if (src == dst) {
+        EXPECT_EQ(got, 0);
+        continue;
+      }
+      ASSERT_GT(expected, 25.0) << src << "->" << dst;
+      EXPECT_NEAR(static_cast<double>(got), expected, 4.0 * std::sqrt(expected))
+          << src << "->" << dst;
+    }
+  }
 }
 
 TEST(ScenarioTest, RunScenarioProducesIndicators) {

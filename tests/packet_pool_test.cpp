@@ -10,6 +10,7 @@
 #include "src/sim/packet.h"
 #include "src/sim/packet_pool.h"
 #include "src/sim/ring_queue.h"
+#include "src/util/alloc_guard.h"
 
 namespace arpanet::sim {
 namespace {
@@ -83,6 +84,28 @@ TEST(UpdatePoolTest, AddRefKeepsSlotAliveUntilLastRelease) {
   EXPECT_EQ(updates.in_use(), 1u) << "one reference should still be live";
   updates.release(h);
   EXPECT_EQ(updates.in_use(), 0u);
+}
+
+TEST(UpdatePoolTest, ReserveParksSlotsThatAcquireWithoutAllocating) {
+  UpdatePool updates;
+  updates.set_report_capacity(4);
+  updates.reserve(3);
+  EXPECT_EQ(updates.slots(), 3u);
+  EXPECT_EQ(updates.in_use(), 0u);
+  std::vector<UpdateHandle> held;
+  held.reserve(3);
+  const util::AllocGuard guard;
+  for (int i = 0; i < 3; ++i) {
+    held.push_back(updates.acquire());
+    for (int r = 0; r < 4; ++r) {
+      updates.at(held.back()).reports.push_back({0, 1.0});
+    }
+  }
+  EXPECT_EQ(guard.allocations(), 0u) << "reserved slots must be warm";
+  EXPECT_EQ(updates.slots(), 3u);
+  EXPECT_EQ(updates.recycled(), 3u);
+  updates.reserve(2);  // never shrinks
+  EXPECT_EQ(updates.slots(), 3u);
 }
 
 TEST(PacketPoolTest, AcquireWithPacketMovesItIn) {

@@ -1,12 +1,15 @@
-// The sharded engine's headline contract: running one network at K=1 and
-// K=4 produces the SAME simulation — identical per-PSN routing state,
-// identical per-link reported costs, identical integer packet totals and
+// The sharded engine's headline contract: running one network at K=1, 2
+// and 4 produces the SAME simulation — identical event totals, per-PSN
+// routing state, per-link reported costs, integer packet totals and
 // stability telemetry — with faults active (a trunk flap and a mid-run
-// line-type upgrade). The conservative lookahead plus the deterministic
-// mailbox drain order make the parallel run a reordering of the same event
-// set, not an approximation of it.
+// line-type upgrade) and on a uniform-delay grid, where packets from
+// different shards reach one PSN in the same microsecond all the time. The
+// conservative lookahead plus partition-independent event tie keys make
+// the parallel run the same event sequence per node, not an approximation
+// of it.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +34,7 @@ using util::SimTime;
 // legitimately differ in the last ulp, so bits_delivered and the delay
 // summaries stay out of the fingerprint.
 struct Fingerprint {
+  std::uint64_t events = 0;
   std::vector<net::LinkId> first_hops;  ///< per (node, dst), flattened
   std::vector<double> reported_costs;   ///< per link
   long generated = 0;
@@ -44,9 +48,11 @@ struct Fingerprint {
   long upgrades = 0;
 };
 
-Fingerprint run_with_shards(int shards) {
-  const net::Topology topo = net::TopologyBuilder::registry().build(
-      net::GraphSpec{"waxman"}.with_nodes(48).with_seed(7));
+/// One network run at `shards` shards. With `faults`, a trunk flap and a
+/// line upgrade land inside the window.
+Fingerprint run_with_shards(const net::GraphSpec& spec, double load_bps,
+                            bool faults, int shards) {
+  const net::Topology topo = net::TopologyBuilder::registry().build(spec);
 
   NetworkConfig cfg;
   cfg.shards = shards;
@@ -55,14 +61,15 @@ Fingerprint run_with_shards(int shards) {
   const SimTime warmup = SimTime::from_sec(30);
   const SimTime window = SimTime::from_sec(60);
 
-  FaultPlan plan;
-  plan.flap_link(2, warmup + SimTime::from_sec(10), SimTime::from_sec(8));
-  plan.upgrade_line(6, warmup + SimTime::from_sec(25),
-                    net::LineType::kMultiTrunk112);
-  net.install_faults(plan, warmup + window);
+  if (faults) {
+    FaultPlan plan;
+    plan.flap_link(2, warmup + SimTime::from_sec(10), SimTime::from_sec(8));
+    plan.upgrade_line(6, warmup + SimTime::from_sec(25),
+                      net::LineType::kMultiTrunk112);
+    net.install_faults(plan, warmup + window);
+  }
 
-  net.add_traffic(
-      traffic::TrafficMatrix::uniform(topo.node_count(), 600e3));
+  net.add_traffic(traffic::TrafficMatrix::uniform(topo.node_count(), load_bps));
   net.run_for(warmup);
   net.reset_stats();
   net.run_for(window);
@@ -76,6 +83,7 @@ Fingerprint run_with_shards(int shards) {
   EXPECT_EQ(net.updates_in_flight(), 0u) << "shards=" << shards;
 
   Fingerprint fp;
+  fp.events = net.events_processed();
   for (net::NodeId v = 0; v < static_cast<net::NodeId>(topo.node_count());
        ++v) {
     const auto& hops = net.psn(v).tree().first_hop;
@@ -98,46 +106,65 @@ Fingerprint run_with_shards(int shards) {
   return fp;
 }
 
-TEST(ShardEquivalenceTest, FourShardsMatchSingleShardUnderFaults) {
-  const Fingerprint one = run_with_shards(1);
-  const Fingerprint four = run_with_shards(4);
+net::GraphSpec waxman() {
+  return net::GraphSpec{"waxman"}.with_nodes(48).with_seed(7);
+}
 
-  EXPECT_EQ(one.first_hops, four.first_hops);
+net::GraphSpec leo_grid() {
+  return net::GraphSpec{"leo-grid"}.with_nodes(64).with_seed(1987);
+}
+
+void expect_same(const Fingerprint& one, const Fingerprint& k, int shards) {
+  EXPECT_GT(one.events, 0u);
+  EXPECT_EQ(one.events, k.events) << "K=" << shards;
+  EXPECT_EQ(one.first_hops, k.first_hops) << "K=" << shards;
   // Reported costs are produced by the same metric arithmetic on the same
   // measured periods in both runs — bitwise equality, not tolerance.
-  ASSERT_EQ(one.reported_costs.size(), four.reported_costs.size());
+  ASSERT_EQ(one.reported_costs.size(), k.reported_costs.size());
   for (std::size_t l = 0; l < one.reported_costs.size(); ++l) {
-    EXPECT_EQ(one.reported_costs[l], four.reported_costs[l]) << "link " << l;
+    EXPECT_EQ(one.reported_costs[l], k.reported_costs[l])
+        << "K=" << shards << " link " << l;
   }
 
   EXPECT_GT(one.generated, 0);
-  EXPECT_EQ(one.generated, four.generated);
-  EXPECT_EQ(one.delivered, four.delivered);
-  EXPECT_EQ(one.dropped_queue, four.dropped_queue);
-  EXPECT_EQ(one.dropped_unreachable, four.dropped_unreachable);
-  EXPECT_EQ(one.dropped_loop, four.dropped_loop);
+  EXPECT_EQ(one.generated, k.generated) << "K=" << shards;
+  EXPECT_EQ(one.delivered, k.delivered) << "K=" << shards;
+  EXPECT_EQ(one.dropped_queue, k.dropped_queue) << "K=" << shards;
+  EXPECT_EQ(one.dropped_unreachable, k.dropped_unreachable) << "K=" << shards;
+  EXPECT_EQ(one.dropped_loop, k.dropped_loop) << "K=" << shards;
   EXPECT_GT(one.updates_originated, 0);
-  EXPECT_EQ(one.updates_originated, four.updates_originated);
-  EXPECT_EQ(one.update_packets_sent, four.update_packets_sent);
+  EXPECT_EQ(one.updates_originated, k.updates_originated) << "K=" << shards;
+  EXPECT_EQ(one.update_packets_sent, k.update_packets_sent) << "K=" << shards;
 
-  EXPECT_EQ(one.stability.route_changes, four.stability.route_changes);
-  EXPECT_EQ(one.stability.flat_oscillations, four.stability.flat_oscillations);
-  EXPECT_EQ(one.stability.max_movement, four.stability.max_movement);
-  EXPECT_EQ(one.stability.faults_applied, four.stability.faults_applied);
-  EXPECT_EQ(one.stability.reconverge_sec, four.stability.reconverge_sec);
+  EXPECT_EQ(one.stability.route_changes, k.stability.route_changes);
+  EXPECT_EQ(one.stability.flat_oscillations, k.stability.flat_oscillations);
+  EXPECT_EQ(one.stability.max_movement, k.stability.max_movement);
+  EXPECT_EQ(one.stability.faults_applied, k.stability.faults_applied);
+  EXPECT_EQ(one.stability.reconverge_sec, k.stability.reconverge_sec);
+}
+
+TEST(ShardEquivalenceTest, FourShardsMatchSingleShardUnderFaults) {
+  const Fingerprint one = run_with_shards(waxman(), 600e3, true, 1);
+  const Fingerprint four = run_with_shards(waxman(), 600e3, true, 4);
+  expect_same(one, four, 4);
   // Both halves of the one upgraded trunk, in both runs.
   EXPECT_EQ(one.upgrades, 2);
   EXPECT_EQ(four.upgrades, 2);
 }
 
 TEST(ShardEquivalenceTest, TwoShardsMatchSingleShardUnderFaults) {
-  const Fingerprint one = run_with_shards(1);
-  const Fingerprint two = run_with_shards(2);
-  EXPECT_EQ(one.first_hops, two.first_hops);
-  EXPECT_EQ(one.generated, two.generated);
-  EXPECT_EQ(one.delivered, two.delivered);
-  EXPECT_EQ(one.updates_originated, two.updates_originated);
-  EXPECT_EQ(one.stability.route_changes, two.stability.route_changes);
+  const Fingerprint one = run_with_shards(waxman(), 600e3, true, 1);
+  const Fingerprint two = run_with_shards(waxman(), 600e3, true, 2);
+  expect_same(one, two, 2);
+}
+
+TEST(ShardEquivalenceTest, UniformDelayGridIsBitwiseAcrossShardCounts) {
+  // leo-grid's intra-plane trunks share one propagation delay, so
+  // same-microsecond arrivals from different shards are routine here.
+  const Fingerprint one = run_with_shards(leo_grid(), 400e3, false, 1);
+  for (const int shards : {2, 4}) {
+    expect_same(one, run_with_shards(leo_grid(), 400e3, false, shards), shards);
+  }
 }
 
 }  // namespace

@@ -55,6 +55,18 @@ TEST_P(FlapStress, RandomTrunkFlapsNeverBreakInvariants) {
   net.run_for(SimTime::from_sec(60));
   net.stop_traffic();
   net.run_for(SimTime::from_sec(60));
+  // Maps can only agree once no flooded report is still on its way: the
+  // metric keeps reporting after the last flap, so step (at most 30 s of
+  // sim time, in 100 ms steps) until nothing is in flight.
+  constexpr int kMaxQuiesceSteps = 300;
+  int steps = 0;
+  while (net.updates_in_flight() > 0 && steps < kMaxQuiesceSteps) {
+    net.run_for(SimTime::from_ms(100));
+    ++steps;
+  }
+  ASSERT_EQ(net.updates_in_flight(), 0u)
+      << "routing updates still in flight after " << kMaxQuiesceSteps
+      << " quiesce steps";
 
   const NetworkStats& s = net.stats();
   EXPECT_GT(s.packets_delivered, 10'000);
@@ -63,7 +75,7 @@ TEST_P(FlapStress, RandomTrunkFlapsNeverBreakInvariants) {
                 s.packets_dropped_unreachable + s.packets_dropped_loop);
   // SPF forwarding between consistent maps never loops.
   EXPECT_EQ(s.packets_dropped_loop, 0);
-  // After the last recovery and a quiet minute, all PSNs agree again.
+  // After the last recovery, a quiet minute and quiescence, all PSNs agree.
   EXPECT_TRUE(analysis::costs_converged(net));
 }
 

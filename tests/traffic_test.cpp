@@ -1,5 +1,9 @@
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/traffic/alias_table.h"
 #include "src/traffic/poisson_source.h"
 #include "src/traffic/traffic_matrix.h"
 
@@ -57,15 +61,95 @@ TEST(TrafficMatrixTest, PeakHourIsDeterministicAndSkewed) {
 }
 
 TEST(PoissonProcessTest, MeanGapMatchesRate) {
-  PoissonProcess p{50.0, util::Rng{31}};  // 50 pkts/sec
+  const PoissonProcess p{50.0};  // 50 pkts/sec
+  util::Rng rng{31};
   double total = 0;
   const int n = 50'000;
-  for (int i = 0; i < n; ++i) total += p.next_gap().sec();
+  for (int i = 0; i < n; ++i) total += p.next_gap(rng).sec();
   EXPECT_NEAR(total / n, 0.02, 0.001);
 }
 
 TEST(PoissonProcessTest, RejectsZeroRate) {
-  EXPECT_THROW(PoissonProcess(0.0, util::Rng{1}), std::invalid_argument);
+  EXPECT_THROW(PoissonProcess(0.0), std::invalid_argument);
+}
+
+TEST(AliasTableTest, ReconstructsEveryWeightExactly) {
+  const std::vector<double> w{5.0, 0.25, 3.0, 1.0, 0.75, 12.0, 2.0};
+  const AliasTable t{w};
+  ASSERT_EQ(t.size(), w.size());
+  double sum = 0.0;
+  for (const double x : w) sum += x;
+  for (std::uint32_t i = 0; i < w.size(); ++i) {
+    EXPECT_NEAR(t.probability(i), w[i] / sum, 1e-12) << "outcome " << i;
+  }
+}
+
+TEST(AliasTableTest, ZeroWeightsAreNeverDrawn) {
+  const std::vector<double> w{0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 0.5, 0.0};
+  const AliasTable t{w};
+  for (std::uint32_t i = 0; i < w.size(); ++i) {
+    if (w[i] == 0.0) {
+      EXPECT_EQ(t.probability(i), 0.0) << "outcome " << i;
+    }
+  }
+  util::Rng rng{41};
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint32_t k = t.sample(rng);
+    ASSERT_LT(k, w.size());
+    ASSERT_GT(w[k], 0.0) << "drew zero-weight outcome " << k;
+  }
+}
+
+TEST(AliasTableTest, SingleEntryAlwaysDrawsIt) {
+  const std::vector<double> w{7.5};
+  const AliasTable t{w};
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_NEAR(t.probability(0), 1.0, 1e-12);
+  util::Rng rng{43};
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(t.sample(rng), 0u);
+}
+
+TEST(AliasTableTest, RejectsEmptyNegativeAndAllZeroWeights) {
+  EXPECT_THROW(AliasTable{std::vector<double>{}}, std::invalid_argument);
+  EXPECT_THROW((AliasTable{std::vector<double>{1.0, -1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW((AliasTable{std::vector<double>{0.0, 0.0}}),
+               std::invalid_argument);
+}
+
+TEST(AliasTableTest, ChiSquareOnASkewedPeakHourRow) {
+  // The busiest row of a 47-node peak-hour matrix: heavy gravity skew
+  // across its 46 nonzero destinations.
+  const std::size_t n = 47;
+  const TrafficMatrix m = TrafficMatrix::peak_hour(n, 600e3, util::Rng{7});
+  net::NodeId busiest = 0;
+  double busiest_bps = 0.0;
+  for (net::NodeId s = 0; s < n; ++s) {
+    double row = 0.0;
+    for (net::NodeId d = 0; d < n; ++d) row += m.at(s, d);
+    if (row > busiest_bps) {
+      busiest_bps = row;
+      busiest = s;
+    }
+  }
+  std::vector<double> w;
+  for (net::NodeId d = 0; d < n; ++d) {
+    if (m.at(busiest, d) > 0.0) w.push_back(m.at(busiest, d));
+  }
+  ASSERT_EQ(w.size(), n - 1);
+  const AliasTable t{w};
+  const int draws = 200'000;
+  std::vector<int> counts(w.size(), 0);
+  util::Rng rng{2024};
+  for (int i = 0; i < draws; ++i) ++counts[t.sample(rng)];
+  double chi2 = 0.0;
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    const double expected = draws * w[k] / busiest_bps;
+    ASSERT_GT(expected, 5.0) << "chi-square needs >= 5 expected per cell";
+    chi2 += (counts[k] - expected) * (counts[k] - expected) / expected;
+  }
+  // 45 degrees of freedom: the 0.1% upper critical value is 80.08.
+  EXPECT_LT(chi2, 80.08) << "chi2=" << chi2;
 }
 
 TEST(PacketSizerTest, MeanAndFloor) {

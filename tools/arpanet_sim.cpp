@@ -10,9 +10,8 @@
 //               [--utilization] [--write-topology]
 //
 // --shards=K runs the sharded parallel engine (K worker threads over one
-// network; see docs/performance.md for the determinism contract: runs are
-// reproducible for a fixed K, and identical across K up to the ordering of
-// cross-shard packets arriving in the same microsecond tick). With K>1 the
+// network; see docs/performance.md for the determinism contract: the output
+// is bit-identical at every K, the K=1 run's). With K>1 the
 // trunk events compile into the fault engine: --fail-trunk takes the trunk
 // down at T and --recover-trunk supplies the heal time (required — a
 // standalone --recover-trunk is a usage error at K>1).
