@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <tuple>
 
@@ -91,6 +90,51 @@ std::pair<int, net::LinkId> hops_and_first_hop(const net::Topology& topo,
 
 }  // namespace
 
+struct SpfScratch {
+  /// Binary min-heap of (dist, node), driven via heap_push/heap_pop.
+  HeapVec heap;
+  /// 1 iff the node is on `touched` (plain bytes, not vector<bool>).
+  std::vector<std::uint8_t> mark;
+  /// Every node the current update marked, in marking order: first the
+  /// nodes whose distance changed (and, on a decrease, the further
+  /// candidates for a new parent), then the descendants whose hops or first
+  /// hop moved. The update clears the marks through this list.
+  std::vector<net::NodeId> touched;
+
+  /// Grows the workspace to hold any pass over `topo`; never shrinks. A
+  /// Dijkstra pass pushes each link at most once (<= links), and the
+  /// structure repair queues each node at most once (<= nodes). Only called
+  /// between passes, when every mark is zero.
+  void fit(const net::Topology& topo) {
+    const std::size_t n = topo.node_count();
+    if (mark.size() < n) mark.resize(n, 0);
+    heap.reserve(std::max(topo.link_count(), n));
+    touched.reserve(n);
+  }
+
+  // ARPALINT-HOTPATH-BEGIN
+  /// Marks v and queues it on `touched`, unless it is the root or marked.
+  void touch(net::NodeId root, net::NodeId v) {
+    if (v == root || mark[v] != 0) return;
+    mark[v] = 1;
+    // ARPALINT-ALLOW(hot-path-alloc): fit() reserved node_count; each node once
+    touched.push_back(v);
+  }
+  // ARPALINT-HOTPATH-END
+};
+
+namespace {
+
+/// The calling thread's workspace, grown to fit `topo`. One pass runs on a
+/// thread at a time, so every IncrementalSpf on the thread shares it.
+SpfScratch& thread_scratch(const net::Topology& topo) {
+  thread_local SpfScratch scratch;
+  scratch.fit(topo);
+  return scratch;
+}
+
+}  // namespace
+
 SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
                      std::span<const double> link_costs) {
   check_costs(topo, link_costs);
@@ -139,26 +183,20 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
 
 IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
                                LinkCosts costs)
-    : topo_{&topo}, costs_{std::move(costs)} {
-  check_costs(topo, costs_);
-  tree_ = Spf::compute(topo, root, costs_);
+    : topo_{&topo},
+      costs_{std::move(costs)},
+      tree_{Spf::compute(topo, root, costs_)} {
   ++full_;
   build_child_index();
-  // Size the scratch up front: the passes' push_backs then never grow,
-  // even for a PSN whose first incremental update arrives long after
-  // construction (the AllocGuard window assumes exactly this). A Dijkstra
-  // pass pushes each in-link of a changed node at most once (<= links), and
-  // the structure repair queues each node at most once (<= nodes).
-  const std::size_t n = topo.node_count();
-  scratch_.heap.reserve(std::max(topo.link_count(), n));
-  scratch_.mark.assign(n, 0);
-  scratch_.touched.reserve(n);
+  // Warm this thread's workspace now, so the first incremental update
+  // allocates nothing even when it arrives long after construction (the
+  // AllocGuard window assumes exactly this).
+  thread_scratch(topo);
 }
 
 void IncrementalSpf::reset(LinkCosts costs) {
-  check_costs(*topo_, costs);
+  tree_ = Spf::compute(*topo_, tree_.root, costs);
   costs_ = std::move(costs);
-  tree_ = Spf::compute(*topo_, tree_.root, costs_);
   ++full_;
   build_child_index();
 }
@@ -189,13 +227,6 @@ void IncrementalSpf::unlink_child(net::NodeId parent, net::NodeId child) {
   *slot = next_sib_[child];
 }
 
-void IncrementalSpf::touch(net::NodeId v) {
-  if (v == tree_.root || scratch_.mark[v] != 0) return;
-  scratch_.mark[v] = 1;
-  // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count; each node once
-  scratch_.touched.push_back(v);
-}
-
 void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
   if (!(new_cost > 0.0)) throw std::invalid_argument("link costs must be positive");
   const double old_cost = costs_.at(link);
@@ -211,20 +242,21 @@ void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
 
   costs_[link] = new_cost;
   ++incremental_;
+  SpfScratch& scratch = thread_scratch(*topo_);
   if (new_cost < old_cost) {
-    decrease_pass(link);
+    decrease_pass(scratch, link);
   } else {
-    increase_pass(link);
+    increase_pass(scratch, link);
   }
-  repair_structure();
+  repair_structure(scratch);
 }
 
-void IncrementalSpf::decrease_pass(net::LinkId link) {
+void IncrementalSpf::decrease_pass(SpfScratch& scratch, net::LinkId link) {
   const net::Link& l = topo_->link(link);
-  auto& touched = scratch_.touched;
+  auto& touched = scratch.touched;
   if (tree_.dist[l.from] != kInf) {
     const double cand = tree_.dist[l.from] + costs_[link];
-    HeapVec& heap = scratch_.heap;
+    HeapVec& heap = scratch.heap;
     heap.clear();
     if (cand < tree_.dist[l.to]) heap_push(heap, cand, l.to);
     while (!heap.empty()) {
@@ -232,7 +264,7 @@ void IncrementalSpf::decrease_pass(net::LinkId link) {
       if (d >= tree_.dist[w]) continue;
       tree_.dist[w] = d;
       ++nodes_touched_;
-      touch(w);
+      scratch.touch(tree_.root, w);
       const std::span<const net::LinkId> lids = topo_->out_links(w);
       const std::span<const net::NodeId> tos = topo_->out_targets(w);
       for (std::size_t i = 0; i < lids.size(); ++i) {
@@ -247,22 +279,24 @@ void IncrementalSpf::decrease_pass(net::LinkId link) {
   // cheaper even if its distance did not move.
   const std::size_t lowered = touched.size();
   for (std::size_t i = 0; i < lowered; ++i) {
-    for (const net::NodeId w : topo_->out_targets(touched[i])) touch(w);
+    for (const net::NodeId w : topo_->out_targets(touched[i])) {
+      scratch.touch(tree_.root, w);
+    }
   }
-  touch(l.to);
+  scratch.touch(tree_.root, l.to);
 }
 
-void IncrementalSpf::increase_pass(net::LinkId link) {
+void IncrementalSpf::increase_pass(SpfScratch& scratch, net::LinkId link) {
   // Affected region: the subtree hanging below the head of the increased
   // link, walked breadth-first on the child index with the touched list as
   // the queue. Everything else keeps its distance.
-  auto& touched = scratch_.touched;
-  const auto& mark = scratch_.mark;
-  touch(topo_->link(link).to);
+  auto& touched = scratch.touched;
+  const auto& mark = scratch.mark;
+  scratch.touch(tree_.root, topo_->link(link).to);
   for (std::size_t i = 0; i < touched.size(); ++i) {
     for (net::NodeId c = first_child_[touched[i]]; c != net::kInvalidNode;
          c = next_sib_[c]) {
-      touch(c);
+      scratch.touch(tree_.root, c);
     }
   }
   for (const net::NodeId v : touched) tree_.dist[v] = kInf;
@@ -270,7 +304,7 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
 
   // Re-run Dijkstra over the affected region, seeded from its in-links out
   // of the unaffected frontier (which includes the increased link itself).
-  HeapVec& heap = scratch_.heap;
+  HeapVec& heap = scratch.heap;
   heap.clear();
   for (const net::NodeId v : touched) {
     const std::span<const net::LinkId> ins = topo_->in_links(v);
@@ -304,9 +338,9 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
 /// first hops then move only below a node whose own values moved, so they
 /// are recomputed down those subtrees in distance order — parents strictly
 /// before children — and each node is queued at most once.
-void IncrementalSpf::repair_structure() {
-  auto& touched = scratch_.touched;
-  auto& mark = scratch_.mark;
+void IncrementalSpf::repair_structure(SpfScratch& scratch) {
+  auto& touched = scratch.touched;
+  auto& mark = scratch.mark;
   for (const net::NodeId v : touched) {
     const auto [parent_link, parent] =
         canonical_parent(*topo_, costs_, tree_, v);
@@ -319,7 +353,7 @@ void IncrementalSpf::repair_structure() {
     tree_.parent_link[v] = parent_link;
   }
 
-  HeapVec& heap = scratch_.heap;
+  HeapVec& heap = scratch.heap;
   heap.clear();
   for (const net::NodeId v : touched) heap_push(heap, tree_.dist[v], v);
   while (!heap.empty()) {
@@ -333,7 +367,7 @@ void IncrementalSpf::repair_structure() {
     for (net::NodeId c = first_child_[v]; c != net::kInvalidNode;
          c = next_sib_[c]) {
       if (mark[c] != 0) continue;
-      touch(c);
+      scratch.touch(tree_.root, c);
       heap_push(heap, tree_.dist[c], c);
     }
   }
@@ -343,26 +377,29 @@ void IncrementalSpf::repair_structure() {
 }
 // ARPALINT-HOTPATH-END
 
-std::vector<std::vector<int>> min_hop_lengths(const net::Topology& topo) {
+MinHopTable min_hop_lengths(const net::Topology& topo) {
   const std::size_t n = topo.node_count();
-  std::vector<std::vector<int>> result(n, std::vector<int>(n, -1));
+  // A hop count is at most n - 1, so it fits below the sentinel.
+  ARPA_CHECK(n <= MinHopTable::kUnreachable)
+      << n << " nodes: min-hop counts do not fit in 16 bits";
+  MinHopTable table{n, std::vector<std::uint16_t>(n * n, MinHopTable::kUnreachable)};
+  std::vector<net::NodeId> queue;
+  queue.reserve(n);
   for (net::NodeId src = 0; src < n; ++src) {
-    auto& row = result[src];
+    std::uint16_t* row = table.hops.data() + static_cast<std::size_t>(src) * n;
     row[src] = 0;
-    std::queue<net::NodeId> q;
-    q.push(src);
-    while (!q.empty()) {
-      const net::NodeId u = q.front();
-      q.pop();
+    queue.assign(1, src);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const net::NodeId u = queue[head];
       for (const net::NodeId v : topo.out_targets(u)) {
-        if (row[v] == -1) {
-          row[v] = row[u] + 1;
-          q.push(v);
+        if (row[v] == MinHopTable::kUnreachable) {
+          row[v] = static_cast<std::uint16_t>(row[u] + 1);
+          queue.push_back(v);
         }
       }
     }
   }
-  return result;
+  return table;
 }
 
 }  // namespace arpanet::routing

@@ -23,6 +23,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -63,22 +64,15 @@ class Spf {
                                        std::span<const double> link_costs);
 };
 
-/// Reusable workspace for the incremental passes. One instance lives inside
-/// each IncrementalSpf so a steady-state cost change allocates nothing: the
-/// Dijkstra heap and the touched list keep their capacity across updates,
-/// and the mark array is all zero between updates, so no pass pays O(n) to
-/// reset it.
-struct SpfScratch {
-  /// Binary min-heap of (dist, node), driven via std::push_heap/pop_heap.
-  std::vector<std::pair<double, net::NodeId>> heap;
-  /// 1 iff the node is on `touched` (plain bytes, not vector<bool>).
-  std::vector<std::uint8_t> mark;
-  /// Every node the current update marked, in marking order: first the
-  /// nodes whose distance changed (and, on a decrease, the further
-  /// candidates for a new parent), then the descendants whose hops or first
-  /// hop moved. The update clears the marks through this list.
-  std::vector<net::NodeId> touched;
-};
+/// Workspace for the incremental passes (Dijkstra heap, node marks and the
+/// touched list), defined in spf.cpp. It is per thread, not per PSN: only
+/// one pass runs on a thread at a time, so every IncrementalSpf on that
+/// thread shares one workspace sized to the largest topology the thread has
+/// seen. The constructor warms the constructing thread's workspace, so a
+/// steady-state cost change there allocates nothing; a shard worker warms
+/// its own on its first pass. The marks are all zero between passes, so no
+/// pass pays O(n) to reset them.
+struct SpfScratch;
 
 /// Resident incremental SPF, as run inside a PSN.
 ///
@@ -122,10 +116,9 @@ class IncrementalSpf {
   void build_child_index();
   void link_child(net::NodeId parent, net::NodeId child);
   void unlink_child(net::NodeId parent, net::NodeId child);
-  void touch(net::NodeId v);
-  void decrease_pass(net::LinkId link);
-  void increase_pass(net::LinkId link);
-  void repair_structure();
+  void decrease_pass(SpfScratch& scratch, net::LinkId link);
+  void increase_pass(SpfScratch& scratch, net::LinkId link);
+  void repair_structure(SpfScratch& scratch);
 
   const net::Topology* topo_;
   LinkCosts costs_;
@@ -136,7 +129,6 @@ class IncrementalSpf {
   /// distinct out-links, so unlinking one walks at most the parent's degree.
   std::vector<net::NodeId> first_child_;
   std::vector<net::NodeId> next_sib_;
-  SpfScratch scratch_;
   long full_ = 0;
   long skipped_ = 0;
   long incremental_ = 0;
@@ -144,8 +136,23 @@ class IncrementalSpf {
   long first_hop_changes_ = 0;
 };
 
-/// Hop counts of minimum-hop paths from every node (BFS). Used for the
-/// "Internode Minimum Path" row of Table 1.
-[[nodiscard]] std::vector<std::vector<int>> min_hop_lengths(const net::Topology& topo);
+/// Hop counts of minimum-hop paths between every ordered pair of nodes, as
+/// one row-major n x n array of 16-bit counts. Used for the "Internode
+/// Minimum Path" row of Table 1.
+struct MinHopTable {
+  /// Entry for a destination the source cannot reach.
+  static constexpr std::uint16_t kUnreachable = 0xFFFF;
+
+  std::size_t nodes = 0;
+  /// hops[src * nodes + dst].
+  std::vector<std::uint16_t> hops;
+
+  [[nodiscard]] std::uint16_t at(net::NodeId src, net::NodeId dst) const {
+    return hops[static_cast<std::size_t>(src) * nodes + dst];
+  }
+};
+
+/// Minimum-hop counts from every node (one BFS per source).
+[[nodiscard]] MinHopTable min_hop_lengths(const net::Topology& topo);
 
 }  // namespace arpanet::routing

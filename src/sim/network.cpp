@@ -264,7 +264,7 @@ void Network::on_delivered(const Packet& pkt) {
   sh.stats.one_way_delay_ms.add((sh.sim.now() - pkt.created).ms());
   sh.stats.delay_histogram_ms.add((sh.sim.now() - pkt.created).ms());
   sh.stats.path_hops.add(pkt.hops);
-  sh.stats.min_hops.add(min_hop_table_[pkt.src][pkt.dst]);
+  sh.stats.min_hops.add(min_hop_table_.at(pkt.src, pkt.dst));
   if (delivery_hook_) delivery_hook_(pkt);
 }
 
@@ -611,6 +611,7 @@ void Network::reserve_window_headroom() {
     sh->sim.reserve_events(4 * sh->sim.queue_peak_depth());
     sh->updates.reserve(2 * sh->updates.slots());
   }
+  for (auto& psn : psns_) psn->reserve_update_headroom();
 }
 
 obs::Counters Network::counters() const {

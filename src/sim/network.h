@@ -53,6 +53,7 @@
 #include "src/obs/counters.h"
 #include "src/obs/trace_sink.h"
 #include "src/routing/routing_table.h"
+#include "src/routing/spf.h"
 #include "src/sim/event.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/network_stats.h"
@@ -208,10 +209,11 @@ class Network : public EventSink {
 
   /// Events processed across all shards over the network's lifetime.
   [[nodiscard]] std::uint64_t events_processed() const;
-  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth
-  /// and its update pool to 2x its slot high-water mark, so a measurement
-  /// window after warm-up schedules and floods into existing storage even
-  /// when its bursts outgrow anything warm-up saw.
+  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth,
+  /// its update pool to 2x its slot high-water mark and every PSN's update
+  /// queues to 2x the capacity warm-up grew them to, so a measurement
+  /// window after warm-up schedules, floods and queues into existing
+  /// storage even when its bursts outgrow anything warm-up saw.
   void reserve_window_headroom();
 
   /// Number of simulation shards (== config().shards).
@@ -442,7 +444,7 @@ class Network : public EventSink {
   traffic::PacketSizer sizer_;
   std::vector<std::unique_ptr<Psn>> psns_;
   std::vector<Source> sources_;
-  std::vector<std::vector<int>> min_hop_table_;
+  routing::MinHopTable min_hop_table_;
   std::function<void(const Packet&)> delivery_hook_;
   PacketTracer* tracer_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;

@@ -45,17 +45,23 @@ Psn::Psn(Network& net, net::NodeId id, routing::LinkCosts initial_costs)
     out_.emplace_back(lid,
                       metrics::DelayMeasurement{link.rate, link.prop_delay},
                       std::move(metric), std::move(filter), initial);
-    // Pre-size the rings to their working bounds so no queue grows
-    // mid-measurement: data_q is hard-capped at queue_capacity by the drop
-    // check in enqueue(); update_q's working set is one in-flight update
-    // per origin node.
+    // data_q is hard-capped at queue_capacity by the drop check in
+    // enqueue(), so it is sized to that bound now. update_q has no useful
+    // hard bound (one update per origin would be n entries per link), and
+    // its measured depth is a handful, so it starts at the ring's minimum
+    // and Network::reserve_window_headroom doubles whatever warm-up grew
+    // it to.
     OutLink& out = out_.back();
     out.data_q.reserve(static_cast<std::size_t>(net.config().queue_capacity));
-    out.update_q.reserve(topo.node_count());
+    out.update_q.reserve(1);
   }
   // Sized up front so the first fault-driven origination (which can precede
   // the first measurement period) already finds warm storage.
   candidate_scratch_.reserve(out_.size());
+}
+
+void Psn::reserve_update_headroom() {
+  for (OutLink& out : out_) out.update_q.reserve(2 * out.update_q.capacity());
 }
 
 void Psn::start() {

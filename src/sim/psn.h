@@ -87,6 +87,11 @@ class Psn {
     return dv_next_.at(dst);
   }
 
+  /// Doubles each outgoing update queue's capacity, so a burst deeper than
+  /// anything warm-up queued still finds room
+  /// (Network::reserve_window_headroom).
+  void reserve_update_headroom();
+
   /// Marks a local outgoing link up/down. Down links advertise
   /// kDownLinkCost and stop transmitting; on up, the metric eases back in.
   void set_local_link_up(net::LinkId out_link, bool up);

@@ -161,11 +161,12 @@ ScenarioResult run_scenario(const net::Topology& topo, const ScenarioConfig& cfg
     // unusual configs stay valid.
     network.reserve_stats_until(network.now() + cfg.window);
     // The calendar queue rebuilds its bucket array when the pending
-    // population crosses a power-of-two boundary, and the update pool grows
-    // a slot per update in flight beyond its high-water mark; fault churn
-    // (queue drains, restart floods) or a burst of simultaneous significant
-    // changes can push the window's peak past anything warm-up saw, so give
-    // both headroom now instead of allocating mid-window.
+    // population crosses a power-of-two boundary, the update pool grows a
+    // slot per update in flight beyond its high-water mark, and an update
+    // queue grows when more updates wait on a line than ever before; fault
+    // churn (queue drains, restart floods) or a burst of simultaneous
+    // significant changes can push the window's peak past anything warm-up
+    // saw, so give all three headroom now instead of allocating mid-window.
     network.reserve_window_headroom();
     std::uint64_t window_alloc_bytes = 0;
     {

@@ -3,12 +3,16 @@
 #include "src/sim/network.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
+#include "src/net/graph_spec.h"
 #include "src/sim/scenario.h"
+#include "src/util/alloc_guard.h"
 
 namespace arpanet::sim {
 namespace {
@@ -274,6 +278,41 @@ TEST(NetworkTest, AggregateSourcesOfferEveryPairItsOwnRate) {
       EXPECT_NEAR(static_cast<double>(got), expected, 4.0 * std::sqrt(expected))
           << src << "->" << dst;
     }
+  }
+}
+
+TEST(NetworkTest, ConstructionBytesPerPsnAreLinear) {
+  // Each PSN keeps its own cost map and SPF tree (paper section 2.2), so
+  // building a Network must request no more per PSN than that replicated
+  // state, plus the PSN's share of the per-link state. The budget per PSN,
+  // for m links and n nodes:
+  //   a = 8 B per link: the cost map, one double per link.
+  //   b = 48 B per node: the SPF tree's dist/parent/first-hop/hops (8 + 4 +
+  //       4 + 4), the child index (4 + 4), the flooding sequence numbers
+  //       (8) and the min-hop row (2) make 38; the other 10 cover the
+  //       construction Dijkstra's transient heap and settled bits, measured
+  //       at 4 to 8 B per node on leo-grid.
+  //   c = 8 KiB per link, spread over the n PSNs: the packet pool's queue
+  //       bound (queue_capacity + 2 packets of 88 B, plus the free list),
+  //       the 64-slot data ring, the update ring's 8-slot minimum, the
+  //       metric, filter and per-link statistics — 6.2 KB measured.
+  // A per-PSN SPF workspace (16 B per link) or update rings reserved to
+  // one slot per origin (16 B per node per out-link) exceeds this budget.
+  for (const std::size_t nodes : {std::size_t{256}, std::size_t{1024}}) {
+    const net::Topology topo = net::TopologyBuilder::registry().build(
+        net::GraphSpec{"leo-grid"}.with_nodes(nodes));
+    ASSERT_EQ(topo.node_count(), nodes);
+    const auto n = static_cast<double>(topo.node_count());
+    const auto m = static_cast<double>(topo.link_count());
+    std::uint64_t bytes = 0;
+    {
+      const util::AllocGuard guard;
+      const Network net{topo, NetworkConfig{}};
+      bytes = guard.bytes();
+    }
+    const double per_psn = static_cast<double>(bytes) / n;
+    const double budget = 8.0 * m + 48.0 * n + 8192.0 * m / n;
+    EXPECT_LE(per_psn, budget) << nodes << " nodes, " << m << " links";
   }
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/net/builders/builders.h"
@@ -336,15 +339,146 @@ TEST(IncrementalSpfTest, ResetReplacesAllCosts) {
   EXPECT_EQ(inc.tree().first_hop[3], 2u);
 }
 
+// ---- the per-thread workspace ----
+//
+// Every IncrementalSpf on a thread shares one pass workspace, grown to the
+// largest topology the thread has seen: instances over different
+// topologies interleave on it, and instances driven from different threads
+// each get their own.
+
+/// One instance under differential test, with its costs and the last full
+/// recompute, so each step can check the tree and the first-hop-change
+/// delta.
+struct Driven {
+  Driven(const Topology& t, net::NodeId root)
+      : topo{&t},
+        costs(t.link_count(), 1.0),
+        spf{t, root, costs},
+        prev{Spf::compute(t, root, costs)} {}
+
+  const Topology* topo;
+  LinkCosts costs;
+  IncrementalSpf spf;
+  SpfTree prev;
+};
+
+/// Applies one random cost change to `d` (half of them on a tree link; new
+/// costs 1, 2 or the down cost) and compares against a full recompute.
+/// Returns the first difference, or "" if there is none, so that worker
+/// threads can report without gtest assertions.
+std::string step_and_compare(Driven& d, util::Rng& rng) {
+  const Topology& t = *d.topo;
+  net::LinkId link = net::kInvalidLink;
+  if (rng.uniform_index(2) == 0) {
+    link = d.prev.parent_link[rng.uniform_index(t.node_count())];
+  }
+  if (link == net::kInvalidLink) {
+    link = static_cast<net::LinkId>(rng.uniform_index(t.link_count()));
+  }
+  const double new_cost =
+      rng.uniform_index(6) == 0
+          ? sim::Psn::kDownLinkCost
+          : 1.0 + static_cast<double>(rng.uniform_index(2));
+  const long changes_before = d.spf.first_hop_changes();
+  d.spf.set_cost(link, new_cost);
+  d.costs[link] = new_cost;
+  SpfTree full = Spf::compute(t, d.spf.root(), d.costs);
+  const SpfTree& got = d.spf.tree();
+  const auto where = [&] {
+    return std::to_string(t.node_count()) + "-node root " +
+           std::to_string(d.spf.root()) + ", link " + std::to_string(link) +
+           ": ";
+  };
+  for (std::size_t v = 0; v < full.dist.size(); ++v) {
+    if (got.dist[v] != full.dist[v] ||
+        got.parent_link[v] != full.parent_link[v] ||
+        got.first_hop[v] != full.first_hop[v] || got.hops[v] != full.hops[v]) {
+      return where() + "node " + std::to_string(v) + " differs";
+    }
+  }
+  if (d.spf.first_hop_changes() - changes_before !=
+      first_hop_diff(d.prev, full)) {
+    return where() + "first_hop_changes delta differs";
+  }
+  d.prev = std::move(full);
+  return "";
+}
+
+Topology leo_grid(std::size_t nodes) {
+  return net::TopologyBuilder::registry().build(
+      net::GraphSpec{"leo-grid"}.with_nodes(nodes));
+}
+
+TEST(IncrementalSpfTest, InstancesSharingAThreadWorkspaceMatchFullRecompute) {
+  const Topology small = leo_grid(64);
+  const Topology large = leo_grid(1024);
+  ASSERT_EQ(large.node_count(), 1024u);
+  util::Rng rng{2718};
+  // Small first, on a workspace no larger than it needs; then the large
+  // instances grow it; then the small ones again, on a workspace sized for
+  // 1,024 nodes whose extra marks must stay clear.
+  Driven small_a{small, 0};
+  Driven small_b{small, 37};
+  for (int step = 0; step < 150; ++step) {
+    const std::string err =
+        step_and_compare(step % 2 == 0 ? small_a : small_b, rng);
+    ASSERT_EQ(err, "") << "small phase, step " << step;
+  }
+  Driven large_a{large, 0};
+  Driven large_b{large, 700};
+  for (int step = 0; step < 150; ++step) {
+    const std::string err =
+        step_and_compare(step % 2 == 0 ? large_a : large_b, rng);
+    ASSERT_EQ(err, "") << "large phase, step " << step;
+  }
+  for (int step = 0; step < 150; ++step) {
+    Driven* const order[] = {&small_a, &large_a, &small_b, &large_b};
+    const std::string err = step_and_compare(*order[step % 4], rng);
+    ASSERT_EQ(err, "") << "interleaved phase, step " << step;
+  }
+  EXPECT_GT(small_a.spf.incremental_updates(), 0);
+  EXPECT_GT(large_b.spf.incremental_updates(), 0);
+}
+
+TEST(IncrementalSpfTest, InstancesOnTwoThreadsMatchFullRecompute) {
+  const Topology small = leo_grid(64);
+  const Topology large = leo_grid(1024);
+  // Built here, driven on two fresh threads at once: each worker's
+  // workspace starts empty, is warmed by its first pass and grown by its
+  // first large pass. Nine of every ten steps go to the small instance,
+  // whose full recompute is cheap, so the two workers' passes overlap.
+  Driven instances[] = {{small, 5}, {large, 3}, {small, 60}, {large, 1000}};
+  std::string errors[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.emplace_back([&instances, &errors, &ready, w] {
+      util::Rng rng{static_cast<std::uint64_t>(31 + w)};
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      for (int step = 0; step < 2000 && errors[w].empty(); ++step) {
+        Driven& d = instances[2 * w + (step % 10 == 9 ? 1 : 0)];
+        errors[w] = step_and_compare(d, rng);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+  for (const Driven& d : instances) EXPECT_GT(d.spf.incremental_updates(), 0);
+}
+
 // ---- min-hop lengths ----
 
 TEST(MinHopTest, RingDistances) {
   const Topology t = net::builders::ring(8);
   const auto d = min_hop_lengths(t);
-  EXPECT_EQ(d[0][4], 4);
-  EXPECT_EQ(d[0][7], 1);
-  EXPECT_EQ(d[3][3], 0);
-  EXPECT_EQ(d[2][6], 4);
+  ASSERT_EQ(d.nodes, 8u);
+  ASSERT_EQ(d.hops.size(), 64u);
+  EXPECT_EQ(d.at(0, 4), 4);
+  EXPECT_EQ(d.at(0, 7), 1);
+  EXPECT_EQ(d.at(3, 3), 0);
+  EXPECT_EQ(d.at(2, 6), 4);
 }
 
 // ---- forwarding tables / path trace ----

@@ -222,8 +222,9 @@ TEST(BuildersTest, Arpanet87PathLengthsResembleTable1) {
   for (NodeId s = 0; s < net.topo.node_count(); ++s) {
     for (NodeId t2 = 0; t2 < net.topo.node_count(); ++t2) {
       if (s == t2) continue;
-      sum += d[s][t2];
-      diameter = std::max(diameter, d[s][t2]);
+      const int hops = d.at(s, t2);
+      sum += hops;
+      diameter = std::max(diameter, hops);
       ++pairs;
     }
   }
