@@ -16,11 +16,11 @@
 // them and how many events that node had scheduled before — never on the
 // interleaving of other nodes' work. That is what makes a sharded run
 // (sim/shard.h) pop every node's events in exactly the single-shard order.
-// Unkeyed events (tests, one-off callbacks, microbenchmarks) get the next
-// value of the queue's own FIFO counter, which stays below every keyed
-// value: among themselves they pop in scheduling order, ahead of keyed
-// events at the same time. The drain sort recovers the exact (time, key)
-// total order, so runs are bit-reproducible for a given seed.
+// Unkeyed events (tests, microbenchmarks) get the next value of the queue's
+// own FIFO counter, which stays below every keyed value: among themselves
+// they pop in scheduling order, ahead of keyed events at the same time. The
+// drain sort recovers the exact (time, key) total order, so runs are
+// bit-reproducible for a given seed.
 //
 // Events live in a recycled slab (contiguous vector + freelist, like
 // sim/packet_pool.h); buckets are intrusive singly-linked lists threaded
@@ -28,9 +28,9 @@
 // outgrows or collapses below the bucket array, or when the overflow list
 // gets deep — relinks slot indices without moving a single SimEvent. The
 // bucket width is re-derived from the observed horizon (max − min pending
-// time) so that the mean bucket holds O(1) events. Scheduling a recurring
-// typed event performs no allocation once the slab and bucket array have
-// reached their high-water capacity.
+// time) so that the mean bucket holds O(1) events. Scheduling an event
+// performs no allocation once the slab and bucket array have reached their
+// high-water capacity.
 //
 // Contract: schedule() times must be >= the last popped time (the Simulator
 // enforces this — its clock never runs backwards). The window's base day
@@ -69,13 +69,6 @@ class EventQueue {
   /// (see event_key). key 0 means unkeyed: FIFO among the unkeyed.
   void schedule(util::SimTime at, SimEvent ev, std::uint64_t key = 0);
 
-  /// Convenience: wraps a callable into a SimEvent::callback event.
-  template <typename F>
-    requires std::invocable<std::remove_cvref_t<F>&>
-  void schedule(util::SimTime at, F&& f) {
-    schedule(at, SimEvent::callback(SmallFn{std::forward<F>(f)}));
-  }
-
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   /// High-water mark of size() over the queue's lifetime (telemetry).
@@ -93,7 +86,7 @@ class EventQueue {
   /// reuses.
   [[nodiscard]] util::SimTime next_time();
 
-  /// Pops and moves out the earliest event. Precondition: !empty().
+  /// Pops and returns the earliest event. Precondition: !empty().
   [[nodiscard]] SimEvent pop(util::SimTime& at);
 
   // ---- telemetry (obs counters) ----

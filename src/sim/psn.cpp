@@ -88,7 +88,7 @@ void Psn::start() {
 }
 
 void Psn::schedule_in(util::SimTime delay, SimEvent ev) {
-  net_.simulator().schedule_in(delay, std::move(ev), next_event_key());
+  net_.simulator().schedule_in(delay, ev, next_event_key());
 }
 
 Psn::OutLink& Psn::out_for(net::LinkId link) {

@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "src/util/check.h"
 
@@ -9,7 +8,7 @@ namespace arpanet::sim {
 
 void Simulator::schedule_at(util::SimTime at, SimEvent ev, std::uint64_t key) {
   if (at < now_) throw std::logic_error("scheduling into the past");
-  queue_.schedule(at, std::move(ev), key);
+  queue_.schedule(at, ev, key);
 }
 
 void Simulator::run_until(util::SimTime end) {

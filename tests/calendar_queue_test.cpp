@@ -1,13 +1,12 @@
 // The calendar queue (sim/event_queue.h): randomized order equivalence
 // against the binary-heap semantics it replaced, resize/overflow boundary
-// behavior, and the compact SimEvent union layout (sim/event.h).
+// behavior, and the compact, trivially copyable SimEvent layout (sim/event.h).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -279,9 +278,9 @@ TEST(CalendarQueueTest, ReAnchorsAfterDrainingToEmpty) {
 // ---------------------------------------------------------------------------
 
 TEST(SimEventLayoutTest, UnionKeepsTheSlabSlotToOneCacheLine) {
-  // Before the union, the SmallFn sat beside the typed payload and the slot
-  // was 128 bytes; overlapping them pins the event at a single cache line —
-  // a 50% cut, comfortably past the 40% the redesign promised.
+  // The slot was 128 bytes when a callable wrapper sat beside the typed
+  // payload; the plain record is a single cache line — a 50% cut,
+  // comfortably past the 40% the redesign promised.
   EXPECT_EQ(sizeof(SimEvent), 64u);
   constexpr std::size_t kPreUnionSize = 128;
   EXPECT_LE(sizeof(SimEvent) * 10, kPreUnionSize * 6)
@@ -295,9 +294,10 @@ TEST(SimEventLayoutTest, TypedPayloadRoundTripsThroughMoves) {
       sink, /*node=*/3, /*link=*/9, /*packet=*/12,
       /*queue_delay=*/SimTime::from_us(70), /*tx_time=*/SimTime::from_us(800),
       /*is_update=*/true);
-  SimEvent moved = std::move(ev);
+  // A move of the trivially copyable record is a plain copy.
+  SimEvent moved = ev;
   SimEvent assigned;
-  assigned = std::move(moved);
+  assigned = moved;
   EXPECT_EQ(assigned.kind(), SimEvent::Kind::kTransmitComplete);
   EXPECT_EQ(assigned.index(), 3u);
   EXPECT_EQ(assigned.link(), 9u);
@@ -305,43 +305,6 @@ TEST(SimEventLayoutTest, TypedPayloadRoundTripsThroughMoves) {
   EXPECT_EQ(assigned.t1(), SimTime::from_us(70));
   EXPECT_EQ(assigned.t2(), SimTime::from_us(800));
   EXPECT_TRUE(assigned.flag());
-}
-
-TEST(SimEventLayoutTest, SmallFnMoveOutOfTheSlabRunsExactlyOnce) {
-  // pop() moves the callback event out of its slab slot and the slot is
-  // recycled for the next schedule; the callable must fire exactly once and
-  // a later occupant of the same slot must not resurrect it.
-  EventQueue q;
-  int first_runs = 0;
-  int second_runs = 0;
-  q.schedule(SimTime::from_us(5), [&first_runs] { ++first_runs; });
-  SimTime at;
-  {
-    SimEvent ev = q.pop(at);
-    EXPECT_TRUE(q.empty());
-    ev.fire();
-  }
-  EXPECT_EQ(first_runs, 1);
-  // The freed slot is reused (same slab, new occupant).
-  q.schedule(SimTime::from_us(9), [&second_runs] { ++second_runs; });
-  EXPECT_EQ(q.slab_slots(), 1u) << "slot was not recycled";
-  q.pop(at).fire();
-  EXPECT_EQ(first_runs, 1);
-  EXPECT_EQ(second_runs, 1);
-}
-
-TEST(SimEventLayoutTest, CallbackAndTypedEventsCrossAssignCleanly) {
-  // Move-assigning across the union's two alternatives must destroy the
-  // outgoing callable (union lifetime management, checked under ASan).
-  NullSink sink;
-  auto guard = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = guard;
-  SimEvent ev = SimEvent::callback(SmallFn{[keep = std::move(guard)] {}});
-  ev = SimEvent::dv_tick(sink, 4);
-  EXPECT_TRUE(watch.expired()) << "callable leaked when replaced by typed";
-  EXPECT_EQ(ev.kind(), SimEvent::Kind::kDvTick);
-  ev = SimEvent::callback(SmallFn{[] {}});
-  EXPECT_EQ(ev.kind(), SimEvent::Kind::kCallback);
 }
 
 }  // namespace

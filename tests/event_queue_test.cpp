@@ -1,12 +1,10 @@
 // The allocation-free event engine (sim/event.h, sim/event_queue.h): typed
-// SimEvent dispatch, the SmallFn fallback, deterministic (time, seq)
-// ordering, and the slab/freelist behind the compact heap.
+// SimEvent dispatch, deterministic (time, key) ordering with FIFO among
+// unkeyed ties, and the slab/freelist behind the calendar queue.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/event.h"
@@ -16,94 +14,6 @@ namespace arpanet::sim {
 namespace {
 
 using util::SimTime;
-
-TEST(SmallFnTest, InvokesInlineCallable) {
-  int hits = 0;
-  SmallFn fn{[&hits] { ++hits; }};
-  EXPECT_TRUE(static_cast<bool>(fn));
-  fn();
-  fn();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SmallFnTest, AcceptsMoveOnlyCallable) {
-  auto payload = std::make_unique<int>(41);
-  SmallFn fn{[p = std::move(payload)]() { ++*p; }};
-  SmallFn moved = std::move(fn);
-  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
-  moved();
-}
-
-TEST(SmallFnTest, OversizedCallableFallsBackToHeap) {
-  // 64 bytes of captured state exceeds kInlineBytes; the callable must
-  // still work (via the heap path) and destroy its capture exactly once.
-  auto guard = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = guard;
-  {
-    struct Big {
-      std::shared_ptr<int> keep;
-      double pad[7];
-    };
-    static_assert(sizeof(Big) > SmallFn::kInlineBytes);
-    SmallFn fn{[big = Big{std::move(guard), {}}]() { EXPECT_EQ(*big.keep, 7); }};
-    fn();
-    EXPECT_FALSE(watch.expired());
-  }
-  EXPECT_TRUE(watch.expired()) << "heap-stored callable leaked its capture";
-}
-
-TEST(EventQueueTest, SimultaneousEventsPopInSchedulingOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  const SimTime t = SimTime::from_ms(5);
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(t, [&order, i] { order.push_back(i); });
-  }
-  SimTime at;
-  while (!q.empty()) q.pop(at).fire();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(at, t);
-}
-
-TEST(EventQueueTest, FifoTieBreakSurvivesInterleavedPops) {
-  // Popping between schedules recycles slab slots; recycled slots must not
-  // perturb the (time, seq) order of events that are still pending.
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(SimTime::from_ms(1), [&] { order.push_back(1); });
-  q.schedule(SimTime::from_ms(3), [&] { order.push_back(3); });
-  SimTime at;
-  q.pop(at).fire();  // t=1ms; frees a slot
-  q.schedule(SimTime::from_ms(3), [&] { order.push_back(33); });
-  q.schedule(SimTime::from_ms(2), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop(at).fire();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 33}));
-}
-
-TEST(EventQueueTest, PeakSizeIsAHighWaterMark) {
-  EventQueue q;
-  EXPECT_EQ(q.peak_size(), 0u);
-  for (int i = 0; i < 5; ++i) q.schedule(SimTime::from_ms(i), [] {});
-  EXPECT_EQ(q.peak_size(), 5u);
-  SimTime at;
-  while (!q.empty()) (void)q.pop(at);
-  EXPECT_EQ(q.size(), 0u);
-  q.schedule(SimTime::from_ms(9), [] {});
-  EXPECT_EQ(q.peak_size(), 5u) << "draining must not reset the peak";
-}
-
-TEST(EventQueueTest, PopMovesTheEventOut) {
-  // A move-only capture can only work if pop() moves rather than copies.
-  EventQueue q;
-  auto value = std::make_unique<int>(99);
-  int seen = 0;
-  q.schedule(SimTime::from_ms(1), [v = std::move(value), &seen] { seen = *v; });
-  SimTime at;
-  SimEvent ev = q.pop(at);
-  EXPECT_TRUE(q.empty());
-  ev.fire();
-  EXPECT_EQ(seen, 99);
-}
 
 /// Records which typed events were dispatched to it.
 class RecordingSink : public EventSink {
@@ -116,6 +26,49 @@ class RecordingSink : public EventSink {
   std::vector<SimEvent::Kind> kinds;
   std::vector<std::uint32_t> indices;
 };
+
+TEST(EventQueueTest, SimultaneousEventsPopInSchedulingOrder) {
+  EventQueue q;
+  RecordingSink sink;
+  const SimTime t = SimTime::from_ms(5);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    q.schedule(t, SimEvent::source_tick(sink, i));
+  }
+  SimTime at;
+  while (!q.empty()) q.pop(at).fire();
+  EXPECT_EQ(sink.indices, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(at, t);
+}
+
+TEST(EventQueueTest, FifoTieBreakSurvivesInterleavedPops) {
+  // Popping between schedules recycles slab slots; recycled slots must not
+  // perturb the (time, key) order of events that are still pending.
+  EventQueue q;
+  RecordingSink sink;
+  q.schedule(SimTime::from_ms(1), SimEvent::source_tick(sink, 1));
+  q.schedule(SimTime::from_ms(3), SimEvent::source_tick(sink, 3));
+  SimTime at;
+  q.pop(at).fire();  // t=1ms; frees a slot
+  q.schedule(SimTime::from_ms(3), SimEvent::source_tick(sink, 33));
+  q.schedule(SimTime::from_ms(2), SimEvent::source_tick(sink, 2));
+  while (!q.empty()) q.pop(at).fire();
+  EXPECT_EQ(sink.indices, (std::vector<std::uint32_t>{1, 2, 3, 33}));
+}
+
+TEST(EventQueueTest, PeakSizeIsAHighWaterMark) {
+  EventQueue q;
+  RecordingSink sink;
+  EXPECT_EQ(q.peak_size(), 0u);
+  for (int i = 0; i < 5; ++i) {
+    q.schedule(SimTime::from_ms(i), SimEvent::source_tick(sink, 0));
+  }
+  EXPECT_EQ(q.peak_size(), 5u);
+  SimTime at;
+  while (!q.empty()) (void)q.pop(at);
+  EXPECT_EQ(q.size(), 0u);
+  q.schedule(SimTime::from_ms(9), SimEvent::source_tick(sink, 0));
+  EXPECT_EQ(q.peak_size(), 5u) << "draining must not reset the peak";
+}
 
 TEST(EventQueueTest, TypedEventsDispatchThroughTheirSink) {
   EventQueue q;
@@ -138,7 +91,7 @@ TEST(EventQueueTest, TransmitCompleteCarriesItsPayload) {
   EventQueue q;
   class PayloadSink : public EventSink {
    public:
-    void handle_event(SimEvent& ev) override { captured = std::move(ev); }
+    void handle_event(SimEvent& ev) override { captured = ev; }
     SimEvent captured;
   } sink;
   q.schedule(SimTime::from_ms(1),
@@ -163,6 +116,7 @@ TEST(EventQueueTest, MixedTimesPopInTimeOrderUnderChurn) {
   // come out nondecreasing and FIFO among ties no matter how the slab
   // recycles slots.
   EventQueue q;
+  RecordingSink sink;
   std::uint64_t state = 12345;
   auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -174,7 +128,8 @@ TEST(EventQueueTest, MixedTimesPopInTimeOrderUnderChurn) {
   int scheduled = 0;
   for (int round = 0; round < 2000; ++round) {
     if (q.empty() || next() % 3 != 0) {
-      q.schedule(now + SimTime::from_us(next() % 50), [] {});
+      q.schedule(now + SimTime::from_us(next() % 50),
+                 SimEvent::source_tick(sink, 0));
       ++scheduled;
     } else {
       SimTime at;

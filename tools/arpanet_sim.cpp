@@ -11,10 +11,15 @@
 //
 // --shards=K runs the sharded parallel engine (K worker threads over one
 // network; see docs/performance.md for the determinism contract: the output
-// is bit-identical at every K, the K=1 run's). With K>1 the
-// trunk events compile into the fault engine: --fail-trunk takes the trunk
-// down at T and --recover-trunk supplies the heal time (required — a
-// standalone --recover-trunk is a usage error at K>1).
+// is bit-identical at every K, the K=1 run's).
+//
+// Trunk events compile into the fault engine (sim/fault_plan.h) at every K:
+// --fail-trunk takes the trunk down at T (seconds from the start of warm-up)
+// and --recover-trunk brings the same trunk back up at its T; without it, or
+// with a T past the end of the run, the trunk stays down to the end and no
+// link-up is dispatched. A --fail-trunk past the end never fires. Usage
+// errors: a --recover-trunk without --fail-trunk, one naming another trunk,
+// one at or before the --fail-trunk time, and a negative --fail-trunk time.
 //
 // A <spec> is any TopologyBuilder registry family with key=value parameters,
 // e.g. ba:nodes=10000,seed=7,m=2 or leo-grid:planes=20,per_plane=20
@@ -26,9 +31,11 @@
 //   arpanet_sim --topology=ring:8 --write-topology
 //   arpanet_sim --topology=waxman:nodes=256,seed=3 --metric=hnspf
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 #include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
@@ -75,15 +82,10 @@ metrics::MetricKind parse_metric(const std::string& name) {
                               " (min-hop|dspf|hnspf)");
 }
 
-struct TrunkEvent {
-  net::LinkId link;
-  util::SimTime at;
-  bool up;
-};
-
-/// Parses "A-B@T" against the topology's node names.
-TrunkEvent parse_trunk_event(const net::Topology& topo, const std::string& spec,
-                             bool up) {
+/// Parses "A-B@T" against the topology's node names: the simplex link from
+/// A to B, and T.
+std::pair<net::LinkId, util::SimTime> parse_trunk_event(
+    const net::Topology& topo, const std::string& spec) {
   const std::size_t at_pos = spec.rfind('@');
   const std::size_t dash = spec.find('-');
   if (at_pos == std::string::npos || dash == std::string::npos || dash > at_pos) {
@@ -94,10 +96,48 @@ TrunkEvent parse_trunk_event(const net::Topology& topo, const std::string& spec,
   const double t = std::stod(spec.substr(at_pos + 1));
   for (const net::LinkId lid : topo.out_links(a)) {
     if (topo.link(lid).to == b) {
-      return TrunkEvent{lid, util::SimTime::from_sec(t), up};
+      return {lid, util::SimTime::from_sec(t)};
     }
   }
   throw std::invalid_argument("no trunk between the named nodes: " + spec);
+}
+
+/// The fault plan for --fail-trunk / --recover-trunk: one flap of the named
+/// trunk. `after_end` is one tick past the end of the run. A run dispatches
+/// the events due at its end time, so a trunk that does not recover within
+/// the run heals at `after_end`: scheduled but never dispatched, it stays
+/// down to the end and sends no link-up updates. A --fail-trunk after the
+/// end never fires. Empty without trunk flags.
+sim::FaultPlan trunk_fault_plan(const net::Topology& topo,
+                                const util::Flags& flags,
+                                util::SimTime after_end) {
+  const auto fail = flags.get("fail-trunk");
+  const auto recover = flags.get("recover-trunk");
+  sim::FaultPlan plan;
+  if (!fail) {
+    if (recover) {
+      throw std::invalid_argument("--recover-trunk needs --fail-trunk");
+    }
+    return plan;
+  }
+  const auto [link, down_at] = parse_trunk_event(topo, *fail);
+  if (down_at < util::SimTime::zero()) {
+    throw std::invalid_argument("--fail-trunk must be at or after 0 s");
+  }
+  util::SimTime heal = after_end;
+  if (recover) {
+    const auto [up_link, up_at] = parse_trunk_event(topo, *recover);
+    if (up_link != link && up_link != topo.link(link).reverse) {
+      throw std::invalid_argument(
+          "--recover-trunk must name the --fail-trunk trunk");
+    }
+    if (up_at <= down_at) {
+      throw std::invalid_argument("--recover-trunk must be after --fail-trunk");
+    }
+    heal = std::min(up_at, after_end);
+  }
+  if (down_at < after_end) plan.flap_link(link, down_at, heal - down_at);
+  return plan;
 }
 
 int run(const util::Flags& flags) {
@@ -126,13 +166,9 @@ int run(const util::Flags& flags) {
   const auto window =
       util::SimTime::from_sec(flags.get_double("window-sec", 300.0));
 
-  std::vector<TrunkEvent> events;
-  if (const auto f = flags.get("fail-trunk")) {
-    events.push_back(parse_trunk_event(topo, *f, /*up=*/false));
-  }
-  if (const auto r = flags.get("recover-trunk")) {
-    events.push_back(parse_trunk_event(topo, *r, /*up=*/true));
-  }
+  const util::SimTime after_end =
+      warmup + window + util::SimTime::from_us(1);
+  const sim::FaultPlan trunk_plan = trunk_fault_plan(topo, flags, after_end);
   const bool show_utilization = flags.get_bool("utilization");
 
   for (const std::string& u : flags.unknown()) {
@@ -150,35 +186,7 @@ int run(const util::Flags& flags) {
                                 util::Rng{cfg.seed ^ 0xfeedULL});
   net.add_traffic(matrix);
 
-  if (cfg.shards > 1 && !events.empty()) {
-    // A scheduled callback runs on shard 0 and may not touch links another
-    // shard owns, so under the sharded engine the trunk events compile into
-    // the fault engine, which dispatches each action on its owning shard.
-    const TrunkEvent* down = nullptr;
-    const TrunkEvent* up = nullptr;
-    for (const TrunkEvent& e : events) {
-      (e.up ? up : down) = &e;
-    }
-    if (down == nullptr) {
-      throw std::invalid_argument(
-          "--recover-trunk without --fail-trunk is not supported with "
-          "--shards > 1 (the fault engine needs the down transition)");
-    }
-    const util::SimTime heal = up != nullptr ? up->at : warmup + window;
-    if (heal <= down->at) {
-      throw std::invalid_argument(
-          "--recover-trunk must be after --fail-trunk");
-    }
-    sim::FaultPlan plan;
-    plan.flap_link(down->link, down->at, heal - down->at);
-    net.install_faults(plan, warmup + window);
-  } else {
-    for (const TrunkEvent& e : events) {
-      // Trunk events are wall-clock (from t=0), applied via the simulator.
-      net.simulator().schedule_at(
-          e.at, [&net, e] { net.set_trunk_up(e.link, e.up); });
-    }
-  }
+  if (!trunk_plan.empty()) net.install_faults(trunk_plan, after_end);
 
   net.run_for(warmup);
   net.reset_stats();
