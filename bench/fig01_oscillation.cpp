@@ -31,8 +31,9 @@ RunResult run(metrics::MetricKind kind, const net::builders::TwoRegionNet& two,
               double inter_region_bps, int buckets) {
   sim::NetworkConfig cfg;
   cfg.metric = kind;
-  cfg.track_reported_costs = true;
   sim::Network net{two.topo, cfg};
+  obs::RecordingTraceSink trace{two.topo.link_count()};
+  net.attach_trace_sink(&trace);
 
   // Inter-region pairs only: the intra-region mesh is irrelevant here.
   traffic::TrafficMatrix m{two.topo.node_count()};
@@ -69,7 +70,7 @@ RunResult run(metrics::MetricKind kind, const net::builders::TwoRegionNet& two,
   const auto ind = net.indicators("x");
   r.drops_per_sec = ind.packets_dropped_per_sec;
   r.delay_ms = ind.round_trip_delay_ms;
-  for (const auto& [when, cost] : net.reported_cost_trace(two.link_a)) {
+  for (const auto& [when, cost] : trace.costs(two.link_a)) {
     if (when >= warmup) r.cost_a.push_back(cost);
   }
   return r;

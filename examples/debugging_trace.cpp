@@ -1,7 +1,7 @@
 // debugging_trace: following a single packet through the network.
 //
-// Demonstrates the observability surface: the PacketTracer (per-packet
-// event log), the per-link utilization series, and Graphviz export with a
+// Demonstrates the observability surface: the PacketTracer (a trace sink
+// keeping a per-packet event log), and Graphviz export with a
 // live-cost labeler — the toolkit for answering "why did my packet take
 // THAT path?".
 
@@ -19,8 +19,8 @@ int main() {
   cfg.metric = metrics::MetricKind::kHnSpf;
   sim::Network net{net87.topo, cfg};
 
-  sim::PacketTracer tracer{1 << 20};
-  net.attach_tracer(&tracer);
+  obs::PacketTracer tracer{1 << 20};
+  net.attach_trace_sink(&tracer);
 
   traffic::TrafficMatrix m{net87.topo.node_count()};
   m.set(net87.mit, net87.ucla, 8e3);  // coast to coast
@@ -29,14 +29,14 @@ int main() {
 
   // Pick the last delivered packet and print its life.
   std::uint64_t packet = 0;
-  for (const sim::TraceEvent& e : tracer.events()) {
-    if (e.kind == sim::TraceEventKind::kDelivered && e.node == net87.ucla) {
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind == obs::TraceEventKind::kDelivered && e.node == net87.ucla) {
       packet = e.packet_id;
     }
   }
   std::printf("life of packet %llu (MIT -> UCLA):\n",
               static_cast<unsigned long long>(packet));
-  for (const sim::TraceEvent& e : tracer.events_for(packet)) {
+  for (const obs::TraceEvent& e : tracer.events_for(packet)) {
     std::printf("  %10.3f ms  %-20s at %-12s", e.at.ms(),
                 to_string(e.kind),
                 std::string(net87.topo.node_name(e.node)).c_str());

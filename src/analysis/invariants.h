@@ -20,7 +20,9 @@
 //     used by tests and by hot-path ARPA_DCHECKs in core/sim/routing;
 //   * audit_network — the end-of-run self-audit sim::run_scenario performs
 //     on every scenario (ScenarioConfig::self_audit), walking all PSNs'
-//     reported costs, cost traces and SPF trees.
+//     reported costs, metric maps, SPF trees and routes. Movement limits
+//     are not replayed here: sim::Network checks them online, per period
+//     and report to report, as the costs are produced.
 
 #pragma once
 
@@ -97,8 +99,7 @@ void check_utilization_in_range(Utilization u,
 /// evenly spaced utilizations.
 void check_flat_region(const core::HnMetric& metric, int samples = 101);
 
-/// Streaming check that a sequence of timestamps never goes backwards
-/// (event-queue pops, per-link cost traces, packet traces).
+/// Streaming check that a sequence of timestamps never goes backwards.
 class MonotonicTimeChecker {
  public:
   explicit MonotonicTimeChecker(const char* what = "timestamp")
@@ -127,15 +128,13 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
 /// What audit_network covered, so callers can assert the audit actually
 /// inspected something (a zero count in a test means the hook is dead).
 struct AuditStats {
-  long costs_checked = 0;        ///< live reported costs, bounds-checked
-  long trace_steps_checked = 0;  ///< cost-trace transitions, movement-checked
-  long trees_checked = 0;        ///< per-PSN SPF trees validated
-  long maps_checked = 0;         ///< per-link equilibrium maps validated
-  long routes_checked = 0;       ///< node pairs route-audited (both kinds)
+  long costs_checked = 0;   ///< live reported costs, bounds-checked
+  long trees_checked = 0;   ///< per-PSN SPF trees validated
+  long maps_checked = 0;    ///< per-link equilibrium maps validated
+  long routes_checked = 0;  ///< node pairs route-audited (both kinds)
 
   AuditStats& operator+=(const AuditStats& o) {
     costs_checked += o.costs_checked;
-    trace_steps_checked += o.trace_steps_checked;
     trees_checked += o.trees_checked;
     maps_checked += o.maps_checked;
     routes_checked += o.routes_checked;
@@ -162,10 +161,10 @@ AuditStats check_reachable_within_component(const sim::Network& net);
 
 /// Full-network self-audit; any violated invariant aborts via ARPA_CHECK.
 /// Always checks that reported costs are positive and finite and (in SPF
-/// mode) that every PSN's tree is valid against its own cost map. When the
-/// network runs the HN-SPF metric with known line parameters, additionally
-/// enforces cost bounds, flat regions, and — if reported-cost traces were
-/// recorded — timestamp monotonicity and movement limits per trace.
+/// mode) that every PSN's tree is valid against its own cost map. Cost
+/// bounds come from the metric factory; on an HN-SPF network it also checks
+/// every link's flat region. Movement limits are checked online by the
+/// network (NetworkConfig::check_invariants), not here.
 AuditStats audit_network(const sim::Network& net);
 
 }  // namespace arpanet::analysis

@@ -7,7 +7,7 @@ namespace arpanet::obs {
 
 namespace {
 
-constexpr std::array<Counters::Entry, 19> kCatalog{{
+constexpr std::array<Counters::Entry, 20> kCatalog{{
     {"spf_full", &Counters::spf_full, Counters::Merge::kSum},
     {"spf_incremental", &Counters::spf_incremental, Counters::Merge::kSum},
     {"spf_skipped", &Counters::spf_skipped, Counters::Merge::kSum},
@@ -33,6 +33,8 @@ constexpr std::array<Counters::Entry, 19> kCatalog{{
     {"packet_pool_recycled", &Counters::packet_pool_recycled,
      Counters::Merge::kSum},
     {"invariant_period_checks", &Counters::invariant_period_checks,
+     Counters::Merge::kSum},
+    {"invariant_report_checks", &Counters::invariant_report_checks,
      Counters::Merge::kSum},
     {"alloc_guard_scopes", &Counters::alloc_guard_scopes,
      Counters::Merge::kSum},

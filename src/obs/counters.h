@@ -56,6 +56,9 @@ struct Counters {
   // ---- runtime invariant layer ----
   /// Exact per-update-period movement-bound checks executed (section 4.3).
   std::uint64_t invariant_period_checks = 0;
+  /// Report-to-report movement checks executed: the period bound widened by
+  /// the significance threshold, on every originated HN-SPF report.
+  std::uint64_t invariant_report_checks = 0;
 
   // ---- allocation guard (util/alloc_guard.h) ----
   /// AllocGuard scopes run (one per measurement window).

@@ -1,10 +1,22 @@
 #include "src/obs/trace_sink.h"
 
-#include <cstdio>
-#include <ostream>
+#include <algorithm>
 #include <stdexcept>
 
 namespace arpanet::obs {
+
+const char* to_string(TraceEventKind kind) {
+  switch (kind) {
+    case TraceEventKind::kOriginated: return "originated";
+    case TraceEventKind::kEnqueued: return "enqueued";
+    case TraceEventKind::kTransmitted: return "transmitted";
+    case TraceEventKind::kDelivered: return "delivered";
+    case TraceEventKind::kDroppedQueue: return "dropped-queue";
+    case TraceEventKind::kDroppedLoop: return "dropped-loop";
+    case TraceEventKind::kDroppedUnreachable: return "dropped-unreachable";
+  }
+  return "?";
+}
 
 void RecordingTraceSink::on_cost_reported(net::LinkId link, util::SimTime at,
                                           double cost) {
@@ -23,57 +35,54 @@ std::size_t RecordingTraceSink::total_samples() const {
   return total;
 }
 
-StreamingTraceSink::StreamingTraceSink(std::ostream& os, Format format)
-    : os_{&os}, format_{format} {
-  buffer_.reserve(kFlushBytes + 128);
-  if (format_ == Format::kCsv) buffer_ += "series,link,t_us,value\n";
+PacketTracer::PacketTracer(std::size_t capacity) : capacity_{capacity} {
+  if (capacity == 0) throw std::invalid_argument("tracer capacity must be > 0");
+  ring_.reserve(capacity);
 }
 
-StreamingTraceSink::StreamingTraceSink(const std::string& path, Format format)
-    : owned_{std::make_unique<std::ofstream>(path, std::ios::trunc)},
-      os_{owned_.get()},
-      format_{format} {
-  if (!*owned_) throw std::runtime_error("cannot open trace file " + path);
-  buffer_.reserve(kFlushBytes + 128);
-  if (format_ == Format::kCsv) buffer_ += "series,link,t_us,value\n";
-}
-
-StreamingTraceSink::~StreamingTraceSink() { flush(); }
-
-void StreamingTraceSink::on_cost_reported(net::LinkId link, util::SimTime at,
-                                          double cost) {
-  append("cost", link, at, cost);
-}
-
-void StreamingTraceSink::on_utilization(net::LinkId link, util::SimTime at,
-                                        double busy_fraction) {
-  append("utilization", link, at, busy_fraction);
-}
-
-void StreamingTraceSink::append(const char* series, net::LinkId link,
-                                util::SimTime at, double value) {
-  char record[160];
-  const char* pattern = format_ == Format::kJsonl
-                            ? "{\"series\":\"%s\",\"link\":%u,\"t_us\":%lld,"
-                              "\"value\":%.10g}\n"
-                            : "%s,%u,%lld,%.10g\n";
-  const int len =
-      std::snprintf(record, sizeof(record), pattern, series, link,
-                    static_cast<long long>(at.us()), value);
-  buffer_.append(record, static_cast<std::size_t>(len));
-  ++records_;
-  if (buffer_.size() >= kFlushBytes) {
-    os_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
+void PacketTracer::record(util::SimTime at, TraceEventKind kind,
+                          std::uint64_t packet_id, net::NodeId node,
+                          net::LinkId link) {
+  if (filter_ && *filter_ != packet_id) return;
+  const TraceEvent event{at, kind, packet_id, node, link};
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+  } else {
+    ring_[next_] = event;
+    wrapped_ = true;
   }
+  next_ = (next_ + 1) % capacity_;
+  ++recorded_;
 }
 
-void StreamingTraceSink::flush() {
-  if (!buffer_.empty()) {
-    os_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
+std::vector<TraceEvent> PacketTracer::events() const {
+  std::vector<TraceEvent> out;
+  out.reserve(ring_.size());
+  if (wrapped_) {
+    out.insert(out.end(), ring_.begin() + static_cast<long>(next_),
+               ring_.end());
+    out.insert(out.end(), ring_.begin(),
+               ring_.begin() + static_cast<long>(next_));
+  } else {
+    out = ring_;
   }
-  os_->flush();
+  return out;
+}
+
+std::vector<TraceEvent> PacketTracer::events_for(
+    std::uint64_t packet_id) const {
+  std::vector<TraceEvent> out = events();
+  std::erase_if(out, [packet_id](const TraceEvent& e) {
+    return e.packet_id != packet_id;
+  });
+  return out;
+}
+
+void PacketTracer::clear() {
+  ring_.clear();
+  next_ = 0;
+  wrapped_ = false;
+  recorded_ = 0;
 }
 
 }  // namespace arpanet::obs

@@ -1,50 +1,73 @@
-// Per-link trace hooks: reported-cost and utilization time series.
+// The one observer a sim::Network knows: per-link cost and utilization
+// series and per-packet events.
 //
-// ARPALINT-LAYER(net): needs only topology identifiers; sim hands it
-// samples through the abstract TraceSink interface
+// ARPALINT-LAYER(sim): on_packet hands observers the sim::Packet itself,
+// so this header sits in sim's layer of the include DAG
 //
 // Jonglez et al. (PAPERS.md) make the case that smoothing/hysteresis
 // metrics are only debuggable when their per-link dynamics are recorded as
 // time series, and Fukś et al. that distributions beat point averages. A
-// TraceSink attached to a sim::Network receives
-//   * every reported cost the moment an update is originated, and
-//   * every link's measured busy fraction once per measurement period,
-// without the network pre-committing to a storage format. Detached costs
-// one branch per event (same contract as sim::PacketTracer).
+// TraceSink attached to a sim::Network (attach_trace_sink; one at a time,
+// shards == 1 only) receives
+//   * every reported cost the moment an update is originated,
+//   * every link's measured busy fraction once per measurement period, and
+//   * every packet event: origination, enqueue, transmission, delivery and
+//     each kind of drop,
+// without the network pre-committing to a storage format. Every hook has an
+// empty default, so a sink overrides only the series it wants. Detached
+// costs one branch per event.
 //
-// RecordingTraceSink is the standard in-memory implementation used by
-// tools/bench_report and the tests. StreamingTraceSink writes the same
-// samples to a stream as they happen (JSONL or CSV, buffered), for runs too
-// long to hold every sample in memory.
+// RecordingTraceSink stores both per-link series in memory (tools and
+// tests); PacketTracer keeps a bounded ring of packet events for chasing
+// one packet through a run; sim::HostFlowLayer observes deliveries to
+// return RFNMs.
 
 #pragma once
 
 #include <cstdint>
-#include <fstream>
-#include <memory>
-#include <string>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/net/topology.h"
+#include "src/sim/packet.h"
 #include "src/util/units.h"
 
 namespace arpanet::obs {
+
+enum class TraceEventKind : std::uint8_t {
+  kOriginated,
+  kEnqueued,
+  kTransmitted,  ///< finished serialization onto a link
+  kDelivered,
+  kDroppedQueue,
+  kDroppedLoop,
+  kDroppedUnreachable,
+};
+
+[[nodiscard]] const char* to_string(TraceEventKind kind);
 
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
   /// A PSN originated an update advertising `cost` for its link `link`.
-  virtual void on_cost_reported(net::LinkId link, util::SimTime at,
-                                double cost) = 0;
+  virtual void on_cost_reported(net::LinkId /*link*/, util::SimTime /*at*/,
+                                double /*cost*/) {}
 
   /// One measurement period closed on `link` with this busy fraction.
-  virtual void on_utilization(net::LinkId link, util::SimTime at,
-                              double busy_fraction) = 0;
+  virtual void on_utilization(net::LinkId /*link*/, util::SimTime /*at*/,
+                              double /*busy_fraction*/) {}
+
+  /// `pkt` went through `kind` at `node`, on `link` if one is involved
+  /// (net::kInvalidLink otherwise). kDelivered arrives after the network
+  /// has counted the delivery in its statistics.
+  virtual void on_packet(util::SimTime /*at*/, TraceEventKind /*kind*/,
+                         const sim::Packet& /*pkt*/, net::NodeId /*node*/,
+                         net::LinkId /*link*/) {}
 };
 
-/// Stores both series per link in memory.
+/// Stores both per-link series in memory.
 class RecordingTraceSink final : public TraceSink {
  public:
   using Sample = std::pair<util::SimTime, double>;
@@ -74,53 +97,52 @@ class RecordingTraceSink final : public TraceSink {
   std::vector<std::vector<Sample>> utilizations_;
 };
 
-/// Streams each sample to an output stream as one record, accumulating
-/// records in an internal buffer and writing it out in kFlushBytes chunks
-/// so a multi-hour run does not pay a stream write per sample.
-///
-/// Formats (one record per line, in arrival order):
-///   * kJsonl: {"series":"cost","link":3,"t_us":12500000,"value":42.5}
-///   * kCsv:   a `series,link,t_us,value` header, then cost,3,12500000,42.5
-///
-/// Timestamps are integer microseconds (exact); values use the repo-wide
-/// %.10g convention. The destructor flushes; flush() forces a mid-run write.
-class StreamingTraceSink final : public TraceSink {
+struct TraceEvent {
+  util::SimTime at;
+  TraceEventKind kind = TraceEventKind::kOriginated;
+  std::uint64_t packet_id = 0;
+  net::NodeId node = net::kInvalidNode;  ///< where it happened
+  net::LinkId link = net::kInvalidLink;  ///< link involved (if any)
+};
+
+/// A bounded in-memory recorder of packet events — the tool you reach for
+/// when a simulation result looks wrong ("which links did packet 4711
+/// actually cross, and where did it sit in queue?"). Keeps the most recent
+/// events in a ring buffer, optionally for one packet id only.
+class PacketTracer final : public TraceSink {
  public:
-  enum class Format : std::uint8_t { kJsonl, kCsv };
+  /// Keeps at most `capacity` most-recent events (ring buffer).
+  explicit PacketTracer(std::size_t capacity = 65536);
 
-  /// Streams to `os`, which must outlive the sink.
-  StreamingTraceSink(std::ostream& os, Format format);
-  /// Streams to a file at `path` (truncates; throws std::runtime_error if
-  /// the file cannot be opened).
-  StreamingTraceSink(const std::string& path, Format format);
+  /// Restrict recording to one packet id (common when re-running a seed to
+  /// chase a specific packet).
+  void filter_packet(std::uint64_t id) { filter_ = id; }
+  void clear_filter() { filter_.reset(); }
 
-  ~StreamingTraceSink() override;
+  void on_packet(util::SimTime at, TraceEventKind kind, const sim::Packet& pkt,
+                 net::NodeId node, net::LinkId link) override {
+    record(at, kind, pkt.id, node, link);
+  }
 
-  StreamingTraceSink(const StreamingTraceSink&) = delete;
-  StreamingTraceSink& operator=(const StreamingTraceSink&) = delete;
+  void record(util::SimTime at, TraceEventKind kind, std::uint64_t packet_id,
+              net::NodeId node, net::LinkId link = net::kInvalidLink);
 
-  void on_cost_reported(net::LinkId link, util::SimTime at,
-                        double cost) override;
-  void on_utilization(net::LinkId link, util::SimTime at,
-                      double busy_fraction) override;
+  /// Events in chronological order (oldest survivor first).
+  [[nodiscard]] std::vector<TraceEvent> events() const;
+  /// Just one packet's events, chronological.
+  [[nodiscard]] std::vector<TraceEvent> events_for(
+      std::uint64_t packet_id) const;
 
-  /// Writes any buffered records to the stream and flushes it.
-  void flush();
-
-  [[nodiscard]] std::size_t records_written() const { return records_; }
-
-  /// Buffered bytes before the sink writes to the underlying stream.
-  static constexpr std::size_t kFlushBytes = 64 * 1024;
+  [[nodiscard]] std::uint64_t recorded_total() const { return recorded_; }
+  void clear();
 
  private:
-  void append(const char* series, net::LinkId link, util::SimTime at,
-              double value);
-
-  std::unique_ptr<std::ofstream> owned_;  ///< set by the path constructor
-  std::ostream* os_;
-  Format format_;
-  std::string buffer_;
-  std::size_t records_ = 0;
+  std::vector<TraceEvent> ring_;
+  std::size_t capacity_;
+  std::size_t next_ = 0;
+  bool wrapped_ = false;
+  std::uint64_t recorded_ = 0;
+  std::optional<std::uint64_t> filter_;
 };
 
 }  // namespace arpanet::obs

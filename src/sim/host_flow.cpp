@@ -9,7 +9,7 @@ namespace arpanet::sim {
 
 namespace {
 
-/// Pair key for hook dispatch.
+/// Pair key for delivery dispatch.
 std::uint64_t key(net::NodeId src, net::NodeId dst) {
   return (static_cast<std::uint64_t>(src) << 32) | dst;
 }
@@ -25,7 +25,15 @@ HostFlowLayer::HostFlowLayer(Network& net, HostFlowConfig cfg)
       cfg.packet_bits_max <= 0 || cfg.max_retransmits < 0) {
     throw std::invalid_argument("bad HostFlowConfig");
   }
-  net_.set_delivery_hook([this](const Packet& pkt) { on_delivered(pkt); });
+  net_.attach_trace_sink(this);
+}
+
+HostFlowLayer::~HostFlowLayer() { net_.attach_trace_sink(nullptr); }
+
+void HostFlowLayer::on_packet(util::SimTime /*at*/, obs::TraceEventKind kind,
+                              const Packet& pkt, net::NodeId /*node*/,
+                              net::LinkId /*link*/) {
+  if (kind == obs::TraceEventKind::kDelivered) on_delivered(pkt);
 }
 
 void HostFlowLayer::add_pair(net::NodeId src, net::NodeId dst, double bps) {

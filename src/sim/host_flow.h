@@ -44,12 +44,14 @@ struct HostFlowConfig {
   double rfnm_bits = 152.0;           ///< RFNM wire size
 };
 
-class HostFlowLayer : public EventSink {
+class HostFlowLayer : public EventSink, public obs::TraceSink {
  public:
-  /// Attaches to `net` (installs the delivery hook; the layer must outlive
-  /// the network run). Call add_traffic() for each pair, then run the
-  /// network as usual.
+  /// Attaches to `net` as its trace sink, to see deliveries (so no other
+  /// sink can be attached while the layer lives), and detaches in the
+  /// destructor. Call add_traffic() for each pair, then run the network as
+  /// usual.
   HostFlowLayer(Network& net, HostFlowConfig cfg);
+  ~HostFlowLayer() override;
 
   HostFlowLayer(const HostFlowLayer&) = delete;
   HostFlowLayer& operator=(const HostFlowLayer&) = delete;
@@ -75,6 +77,11 @@ class HostFlowLayer : public EventSink {
   /// Typed-event dispatch: message arrivals and RFNM timeouts (sim/event.h)
   /// — the layer's recurring events schedule without allocation.
   void handle_event(SimEvent& ev) override;
+
+  /// Trace-sink hook: a delivered data packet feeds reassembly (at the
+  /// destination) or completes a message (an RFNM back at the source).
+  void on_packet(util::SimTime at, obs::TraceEventKind kind, const Packet& pkt,
+                 net::NodeId node, net::LinkId link) override;
 
  private:
   struct Message {
@@ -107,7 +114,7 @@ class HostFlowLayer : public EventSink {
   Network& net_;
   HostFlowConfig cfg_;
   std::vector<std::unique_ptr<Pair>> pairs_;
-  /// (src,dst) -> pair index, for hook dispatch.
+  /// (src,dst) -> pair index, for delivery dispatch.
   std::unordered_map<std::uint64_t, std::size_t> pair_index_;
   /// Destination-side reassembly: message id -> packets seen.
   std::unordered_map<std::uint64_t, std::uint16_t> reassembly_;

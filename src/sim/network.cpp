@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <barrier>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -103,7 +104,6 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
     link_busy_.emplace_back(cfg.stats_bucket);
   }
-  cost_traces_.resize(topo.link_count());
   for (net::NodeId n = 0; n < topo.node_count(); ++n) {
     // Each PSN's startup timers must land in the queue of the shard that
     // will execute them.
@@ -187,8 +187,7 @@ void Network::run_until(util::SimTime end) {
     shards_.front()->sim.run_until(end);
     return;
   }
-  ARPA_CHECK(tracer_ == nullptr && trace_sink_ == nullptr && !delivery_hook_)
-      << "packet tracing, trace sinks and delivery hooks require shards == 1";
+  ARPA_CHECK(trace_sink_ == nullptr) << "a trace sink requires shards == 1";
   std::barrier sync{static_cast<std::ptrdiff_t>(shards_.size())};
   std::vector<std::thread> workers;
   workers.reserve(shards_.size() - 1);
@@ -257,7 +256,13 @@ void Network::reserve_stats_until(util::SimTime end) {
   for (auto& sh : shards_) sh->drops.reserve_until(end);
 }
 
-void Network::on_delivered(const Packet& pkt) {
+void Network::attach_trace_sink(obs::TraceSink* sink) {
+  ARPA_CHECK(sink == nullptr || trace_sink_ == nullptr || trace_sink_ == sink)
+      << "a different trace sink is attached; detach it first";
+  trace_sink_ = sink;
+}
+
+void Network::on_delivered(const Packet& pkt, net::LinkId via) {
   Shard& sh = current_shard();
   ++sh.stats.packets_delivered;
   sh.stats.bits_delivered += pkt.bits;
@@ -265,7 +270,7 @@ void Network::on_delivered(const Packet& pkt) {
   sh.stats.delay_histogram_ms.add((sh.sim.now() - pkt.created).ms());
   sh.stats.path_hops.add(pkt.hops);
   sh.stats.min_hops.add(min_hop_table_.at(pkt.src, pkt.dst));
-  if (delivery_hook_) delivery_hook_(pkt);
+  trace(obs::TraceEventKind::kDelivered, pkt, pkt.dst, via);
 }
 
 void Network::on_queue_drop(const Packet& pkt) {
@@ -296,6 +301,7 @@ void Network::on_transmission(net::LinkId link, util::SimTime busy) {
 }
 
 void Network::on_cost_reported(net::LinkId link, double cost) {
+  double& previous = last_reported_cost_[link];
   if (cfg_.check_invariants && cost != Psn::kDownLinkCost) {
     ARPA_CHECK(std::isfinite(cost) && cost > 0.0)
         << "link " << link << " reported non-positive cost " << cost;
@@ -304,13 +310,23 @@ void Network::on_cost_reported(net::LinkId link, double cost) {
                                      analysis::Cost{link_bounds_[link]->min_cost},
                                      analysis::Cost{link_bounds_[link]->max_cost});
     }
-    // Movement limiting is enforced per measurement period (the granularity
-    // the paper states it at) in on_period_measured, not report-to-report.
+    // Report-to-report: on top of one period's limited move (checked
+    // exactly in on_period_measured) a cost may drift sub-threshold for
+    // several periods before an update carries it. A NaN baseline marks
+    // the first report after a line-type upgrade, which restarts the cost.
+    if (hnspf_invariants_ && previous != Psn::kDownLinkCost &&
+        !std::isnan(previous)) {
+      const core::LineTypeParams& params =
+          cfg_.line_params.for_type(effective_links_[link].type);
+      const double threshold = cfg_.significance_threshold_override >= 0.0
+                                   ? cfg_.significance_threshold_override
+                                   : params.change_threshold();
+      analysis::check_movement_limited(analysis::Cost{previous},
+                                       analysis::Cost{cost}, params, threshold);
+      ++current_shard().counters.invariant_report_checks;
+    }
   }
-  last_reported_cost_[link] = cost;
-  if (cfg_.track_reported_costs) {
-    cost_traces_[link].emplace_back(now(), cost);
-  }
+  previous = cost;
   if (trace_sink_) trace_sink_->on_cost_reported(link, now(), cost);
 }
 
@@ -509,11 +525,6 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
           event_key(kFaultEventOwner, i));
     }
   }
-  // One AppliedUpgrade record per upgrade half a shard owns (bounded by its
-  // op count); sized here so the mid-window push_back never allocates.
-  for (auto& sh : shards_) {
-    sh->upgrades_applied.reserve(sh->fault_ops.size());
-  }
 }
 
 void Network::apply_fault(Shard& sh, std::uint32_t shard_action_index) {
@@ -526,7 +537,7 @@ void Network::apply_fault(Shard& sh, std::uint32_t shard_action_index) {
         break;
       case ShardFaultOp::Kind::kUpgradeFwd:
       case ShardFaultOp::Kind::kUpgradeRev:
-        apply_upgrade_half(sh, op);
+        apply_upgrade_half(op);
         break;
     }
   }
@@ -536,15 +547,21 @@ void Network::apply_fault(Shard& sh, std::uint32_t shard_action_index) {
   }
 }
 
-void Network::apply_upgrade_half(Shard& sh, const ShardFaultOp& op) {
+void Network::apply_upgrade_half(const ShardFaultOp& op) {
   PreparedUpgrade& up = prepared_upgrades_[op.prepared];
   const bool fwd = op.kind == ShardFaultOp::Kind::kUpgradeFwd;
   const net::Link& rec = fwd ? up.fwd : up.rev;
   effective_links_[rec.id] = rec;
   link_bounds_[rec.id] = fwd ? up.fwd_bounds : up.rev_bounds;
+  // The new type restarts the link's cost history, so the re-report
+  // upgrade_local_link makes is no movement step. A down link keeps its
+  // kDownLinkCost baseline, which skips the check already.
+  double& baseline = last_reported_cost_[rec.id];
+  if (baseline != Psn::kDownLinkCost) {
+    baseline = std::numeric_limits<double>::quiet_NaN();
+  }
   psns_[rec.from]->upgrade_local_link(
       rec.id, std::move(fwd ? up.fwd_metric : up.rev_metric));
-  sh.upgrades_applied.push_back({rec.id, sh.sim.now(), rec.type});
 }
 
 StabilityStats Network::stability() const {
@@ -577,21 +594,6 @@ const stats::TimeSeries& Network::drop_series() const {
   merged_drops_ = stats::TimeSeries{cfg_.stats_bucket};
   for (const auto& sh : shards_) merged_drops_.merge(sh->drops);
   return merged_drops_;
-}
-
-std::span<const AppliedUpgrade> Network::upgrades_applied() const {
-  if (shards_.size() == 1) return shards_.front()->upgrades_applied;
-  merged_upgrades_.clear();
-  for (const auto& sh : shards_) {
-    merged_upgrades_.insert(merged_upgrades_.end(),
-                            sh->upgrades_applied.begin(),
-                            sh->upgrades_applied.end());
-  }
-  std::stable_sort(merged_upgrades_.begin(), merged_upgrades_.end(),
-                   [](const AppliedUpgrade& a, const AppliedUpgrade& b) {
-                     return a.at < b.at;
-                   });
-  return merged_upgrades_;
 }
 
 std::size_t Network::updates_in_flight() const {

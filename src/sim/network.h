@@ -37,7 +37,6 @@
 
 #include <barrier>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -58,7 +57,6 @@
 #include "src/sim/fault_plan.h"
 #include "src/sim/network_stats.h"
 #include "src/sim/packet_pool.h"
-#include "src/sim/packet_trace.h"
 #include "src/sim/shard.h"
 #include "src/sim/update_pool.h"
 #include "src/sim/psn.h"
@@ -92,8 +90,6 @@ struct NetworkConfig {
   std::uint64_t seed = 0x19870726ULL;
   /// Bucket width for drop/utilization time series.
   util::SimTime stats_bucket = util::SimTime::from_sec(10);
-  /// Record per-link reported-cost traces (fig. 1 style plots).
-  bool track_reported_costs = false;
   /// Data packets exceeding this many hops are counted as loop drops
   /// (only the 1969 algorithm ever reaches it).
   int hop_limit = 128;
@@ -119,14 +115,14 @@ struct NetworkConfig {
   double significance_threshold_override = -1.0;
   /// Validate paper invariants on every reported cost (absolute bounds and
   /// movement limits, src/analysis/invariants.h); a violation aborts via
-  /// ARPA_CHECK. A few comparisons per update origination — leave it on
-  /// unless profiling says otherwise.
+  /// ARPA_CHECK. A few comparisons per update origination and per
+  /// measurement period — leave it on unless profiling says otherwise.
   bool check_invariants = true;
   /// Simulation shards (worker threads) for one network. 1 (the default)
   /// runs single-threaded on the caller's thread. K>1 partitions the PSNs
   /// into K BFS-grown regions and requires every cross-shard trunk to have
-  /// nonzero propagation delay (the conservative lookahead). Tracing and
-  /// delivery hooks require shards == 1.
+  /// nonzero propagation delay (the conservative lookahead). An attached
+  /// trace sink (attach_trace_sink) requires shards == 1.
   int shards = 1;
 };
 
@@ -152,26 +148,18 @@ class Network : public EventSink {
   /// (generated == delivered + dropped).
   void stop_traffic() { traffic_enabled_ = false; }
 
-  /// Called (after statistics) for every delivered data packet. Used by
-  /// host-level layers (sim/host_flow.h); one hook at a time. shards=1 only.
-  void set_delivery_hook(std::function<void(const Packet&)> hook) {
-    delivery_hook_ = std::move(hook);
-  }
+  /// Attaches the network's one observer (obs/trace_sink.h): every
+  /// reported cost, each link's per-period busy fraction and every packet
+  /// event (nullptr detaches). Aborts if a different sink is attached
+  /// already; detach it first. The sink must outlive the run or be
+  /// detached; a detached network pays one branch per event. run_until
+  /// aborts at shards > 1 while a sink is attached.
+  void attach_trace_sink(obs::TraceSink* sink);
 
-  /// Attaches a packet tracer (nullptr detaches). The tracer must outlive
-  /// the run; recording costs one branch per event when detached.
-  /// shards=1 only.
-  void attach_tracer(PacketTracer* tracer) { tracer_ = tracer; }
-
-  /// Attaches a per-link observability sink receiving every reported cost
-  /// and each link's per-period busy fraction (nullptr detaches). Same
-  /// lifetime/cost contract as attach_tracer. shards=1 only.
-  void attach_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
-
-  /// Psn-side tracing entry point.
-  void trace(TraceEventKind kind, const Packet& pkt, net::NodeId node,
+  /// Psn-side packet-event entry point.
+  void trace(obs::TraceEventKind kind, const Packet& pkt, net::NodeId node,
              net::LinkId link = net::kInvalidLink) {
-    if (tracer_) tracer_->record(now(), kind, pkt.id, node, link);
+    if (trace_sink_) trace_sink_->on_packet(now(), kind, pkt, node, link);
   }
 
   void run_for(util::SimTime duration);
@@ -234,12 +222,6 @@ class Network : public EventSink {
   [[nodiscard]] double link_utilization(net::LinkId id,
                                         std::size_t bucket) const;
 
-  /// Reported-cost trace of a link (empty unless track_reported_costs).
-  [[nodiscard]] const std::vector<std::pair<util::SimTime, double>>&
-  reported_cost_trace(net::LinkId id) const {
-    return cost_traces_.at(id);
-  }
-
   /// Drops per stats bucket (fig. 13's quantity); merged across shards.
   [[nodiscard]] const stats::TimeSeries& drop_series() const;
 
@@ -281,11 +263,6 @@ class Network : public EventSink {
   /// from the latest fault/route-change timestamps across shards.
   [[nodiscard]] StabilityStats stability() const;
 
-  using AppliedUpgrade = ::arpanet::sim::AppliedUpgrade;
-  /// Applied line-type upgrades in time order (stable across equal times,
-  /// forward half before reverse), merged across shards.
-  [[nodiscard]] std::span<const AppliedUpgrade> upgrades_applied() const;
-
   /// Takes a whole PSN down or up: all its trunks at once (a node crash /
   /// restart). Down nodes still exist in every map; their links carry
   /// Psn::kDownLinkCost so traffic routes around them.
@@ -299,15 +276,19 @@ class Network : public EventSink {
                                                  net::NodeId dst) const;
 
   /// Cost most recently passed to on_cost_reported for each link (the
-  /// link's metric initial cost before any report). The invariant layer
-  /// checks each new report's movement against this baseline.
+  /// link's metric initial cost before any report). With check_invariants
+  /// on an HN-SPF network, on_cost_reported checks each new report's
+  /// movement against this baseline (section 4.3: the movement limit plus
+  /// the significance threshold a report may have drifted by).
   [[nodiscard]] double last_reported_cost(net::LinkId link) const {
     return last_reported_cost_.at(link);
   }
 
   // ---- callbacks from Psn (not for external use) ----
   void on_generated() { ++current_shard().stats.packets_generated; }
-  void on_delivered(const Packet& pkt);
+  /// A data packet reached its destination over `via`: statistics first,
+  /// then the trace sink's kDelivered.
+  void on_delivered(const Packet& pkt, net::LinkId via);
   void on_queue_drop(const Packet& pkt);
   void on_unreachable_drop(const Packet& pkt);
   void on_loop_drop(const Packet& pkt);
@@ -424,7 +405,7 @@ class Network : public EventSink {
 
   void schedule_tick(std::uint32_t source_index);
   void apply_fault(Shard& sh, std::uint32_t shard_action_index);
-  void apply_upgrade_half(Shard& sh, const ShardFaultOp& op);
+  void apply_upgrade_half(const ShardFaultOp& op);
   /// Moves every message addressed to `sh` from the other shards' outboxes
   /// into sh's queue. Each carries the tie key its sender stamped, so the
   /// order they are scheduled in does not matter.
@@ -445,8 +426,6 @@ class Network : public EventSink {
   std::vector<std::unique_ptr<Psn>> psns_;
   std::vector<Source> sources_;
   routing::MinHopTable min_hop_table_;
-  std::function<void(const Packet&)> delivery_hook_;
-  PacketTracer* tracer_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;
   /// Per-link cost bounds promised by the factory (nullopt = unbounded).
   /// Written only by the owning (from-node) shard, like every per-link
@@ -457,7 +436,6 @@ class Network : public EventSink {
   std::vector<stats::TimeSeries> link_busy_;
   std::vector<double> last_reported_cost_;
   bool hnspf_invariants_ = false;  ///< HN-SPF semantics known for all links
-  std::vector<std::vector<std::pair<util::SimTime, double>>> cost_traces_;
   /// Mutable view of the topology's link records (line-type upgrades swap
   /// type and rate in place); indexed by LinkId like the topology's own.
   std::vector<net::Link> effective_links_;
@@ -469,7 +447,6 @@ class Network : public EventSink {
   // shard's own aggregate and never touch these.
   mutable NetworkStats merged_stats_;
   mutable stats::TimeSeries merged_drops_;
-  mutable std::vector<AppliedUpgrade> merged_upgrades_;
 };
 
 }  // namespace arpanet::sim

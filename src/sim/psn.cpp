@@ -128,7 +128,7 @@ void Psn::originate_data(net::NodeId dst, double bits) {
   pkt.bits = bits;
   pkt.created = net_.now();
   net_.on_generated();
-  net_.trace(TraceEventKind::kOriginated, pkt, id_);
+  net_.trace(obs::TraceEventKind::kOriginated, pkt, id_);
   forward(h);
 }
 
@@ -140,7 +140,7 @@ void Psn::originate_packet(Packet pkt) {
   p.src = id_;
   p.created = net_.now();
   net_.on_generated();
-  net_.trace(TraceEventKind::kOriginated, p, id_);
+  net_.trace(obs::TraceEventKind::kOriginated, p, id_);
   forward(h);
 }
 
@@ -159,8 +159,7 @@ void Psn::receive(PacketHandle h, net::LinkId via_link) {
     return;
   }
   if (pkt.dst == id_) {
-    net_.trace(TraceEventKind::kDelivered, pkt, id_, via_link);
-    net_.on_delivered(pkt);
+    net_.on_delivered(pkt, via_link);
     pool.release(h);
     return;
   }
@@ -168,7 +167,7 @@ void Psn::receive(PacketHandle h, net::LinkId via_link) {
   // loops (SPF forwarding never loops between consistent tables, so the
   // budget is inert there). Loop drops are an observable statistic.
   if (pkt.hops >= net_.config().hop_limit) {
-    net_.trace(TraceEventKind::kDroppedLoop, pkt, id_, via_link);
+    net_.trace(obs::TraceEventKind::kDroppedLoop, pkt, id_, via_link);
     net_.on_loop_drop(pkt);
     pool.release(h);
     return;
@@ -205,7 +204,7 @@ void Psn::forward(PacketHandle h) {
     next = spf_.tree().first_hop[pkt.dst];
   }
   if (next == net::kInvalidLink) {
-    net_.trace(TraceEventKind::kDroppedUnreachable, pkt, id_);
+    net_.trace(obs::TraceEventKind::kDroppedUnreachable, pkt, id_);
     net_.on_unreachable_drop(pkt);
     net_.packet_pool().release(h);
     return;
@@ -220,24 +219,24 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
     // lost. Flooded updates are redundant by design and not a charged drop;
     // data packets count against the line's queue.
     if (!priority) {
-      net_.trace(TraceEventKind::kDroppedQueue, pkt, id_, out.id);
+      net_.trace(obs::TraceEventKind::kDroppedQueue, pkt, id_, out.id);
       net_.on_queue_drop(pkt);
     }
     net_.packet_pool().release(h);
     return;
   }
   if (priority) {
-    net_.trace(TraceEventKind::kEnqueued, pkt, id_, out.id);
+    net_.trace(obs::TraceEventKind::kEnqueued, pkt, id_, out.id);
     // ARPALINT-ALLOW(hot-path-alloc): RingQueue retains its power-of-two capacity
     out.update_q.push_back(Queued{h, net_.now()});
   } else {
     if (static_cast<int>(out.data_q.size()) >= net_.config().queue_capacity) {
-      net_.trace(TraceEventKind::kDroppedQueue, pkt, id_, out.id);
+      net_.trace(obs::TraceEventKind::kDroppedQueue, pkt, id_, out.id);
       net_.on_queue_drop(pkt);
       net_.packet_pool().release(h);
       return;
     }
-    net_.trace(TraceEventKind::kEnqueued, pkt, id_, out.id);
+    net_.trace(obs::TraceEventKind::kEnqueued, pkt, id_, out.id);
     // ARPALINT-ALLOW(hot-path-alloc): see above — capacity-retaining ring.
     out.data_q.push_back(Queued{h, net_.now()});
   }
@@ -256,7 +255,8 @@ void Psn::drop_queued(OutLink& out) {
   while (!out.data_q.empty()) {
     const Queued item = out.data_q.front();
     out.data_q.pop_front();
-    net_.trace(TraceEventKind::kDroppedQueue, pool.at(item.pkt), id_, out.id);
+    net_.trace(obs::TraceEventKind::kDroppedQueue, pool.at(item.pkt), id_,
+               out.id);
     net_.on_queue_drop(pool.at(item.pkt));
     pool.release(item.pkt);
   }
@@ -299,7 +299,7 @@ void Psn::on_transmit_complete(net::LinkId link, util::SimTime queue_delay,
     // The line died while the packet was serializing onto it: the packet is
     // lost, and the queues were already drained by set_local_link_up.
     if (!is_update) {
-      net_.trace(TraceEventKind::kDroppedQueue, net_.packet_pool().at(pkt),
+      net_.trace(obs::TraceEventKind::kDroppedQueue, net_.packet_pool().at(pkt),
                  id_, link);
       net_.on_queue_drop(net_.packet_pool().at(pkt));
     }
@@ -309,7 +309,7 @@ void Psn::on_transmit_complete(net::LinkId link, util::SimTime queue_delay,
   }
   o.meas.record_packet(queue_delay, tx_time);
   net_.on_transmission(link, tx_time);
-  net_.trace(TraceEventKind::kTransmitted, net_.packet_pool().at(pkt), id_,
+  net_.trace(obs::TraceEventKind::kTransmitted, net_.packet_pool().at(pkt), id_,
              link);
   if (is_update) {
     net_.on_update_packet_sent();

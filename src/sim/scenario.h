@@ -63,7 +63,7 @@ struct ScenarioConfig {
   /// the topology at run time; horizon is warmup + window.
   std::optional<FaultPlan> faults;
   /// Run analysis::audit_network when the measurement window ends: every
-  /// reported cost, cost trace and SPF tree is checked against the paper's
+  /// reported cost, metric map and SPF tree is checked against the paper's
   /// invariants, and any violation aborts. Costs one pass over the final
   /// network state, so sweeps keep it on by default.
   bool self_audit = true;

@@ -95,9 +95,6 @@ struct alignas(64) Shard {
   /// pool directly when merging).
   obs::Counters counters;
 
-  /// Upgrades applied by this shard's fault ops, in this shard's time order.
-  std::vector<AppliedUpgrade> upgrades_applied;
-
   /// Compiled fault schedule fragments owned by this shard.
   std::vector<ShardFaultAction> fault_actions;
   std::vector<ShardFaultOp> fault_ops;

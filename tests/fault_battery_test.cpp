@@ -244,9 +244,9 @@ void run_property_sweep(const net::Topology& topo, const std::string& name,
                              .with_window(sec(37))
                              .with_seed(seed_base ^ (7919u * i))
                              .with_faults(plan);
-    cfg.network.track_reported_costs = true;  // arm trace movement audits
     // check_invariants and self_audit default on: any violated bound,
-    // movement limit, flat region or tree inconsistency aborts the run.
+    // movement limit (per period and report to report), flat region or
+    // tree inconsistency aborts the run.
     const ScenarioResult result = run_scenario(topo, cfg, name);
     EXPECT_GT(result.stats.packets_delivered, 0)
         << name << " seed " << i << ": nothing delivered";

@@ -133,11 +133,12 @@ TEST(NetworkTest, HnCostsEaseInFromMax) {
   const net::Topology topo = two_nodes();
   NetworkConfig cfg;
   cfg.metric = MetricKind::kHnSpf;
-  cfg.track_reported_costs = true;
   Network net{topo, cfg};
+  obs::RecordingTraceSink sink{topo.link_count()};
+  net.attach_trace_sink(&sink);
   net.add_traffic(traffic::TrafficMatrix::uniform(2, 5e3));
   net.run_for(SimTime::from_sec(120));
-  const auto& trace = net.reported_cost_trace(0);
+  const auto& trace = sink.costs(0);
   ASSERT_GE(trace.size(), 3u);
   // Starts high (eased in from 90) and declines toward the floor (~31).
   EXPECT_GT(trace.front().second, 70.0);
@@ -251,9 +252,18 @@ TEST(NetworkTest, AggregateSourcesOfferEveryPairItsOwnRate) {
       traffic::TrafficMatrix::peak_hour(kNodes, 30e3, util::Rng{3});
   NetworkConfig cfg;
   Network net{topo, cfg};
-  std::vector<long> delivered(kNodes * kNodes, 0);
-  net.set_delivery_hook(
-      [&delivered](const Packet& p) { ++delivered[p.src * kNodes + p.dst]; });
+  // Counts deliveries per (source, destination) pair.
+  struct PairCounter final : obs::TraceSink {
+    std::vector<long> delivered = std::vector<long>(kNodes * kNodes, 0);
+    void on_packet(SimTime /*at*/, obs::TraceEventKind kind, const Packet& p,
+                   net::NodeId /*node*/, net::LinkId /*link*/) override {
+      if (kind == obs::TraceEventKind::kDelivered) {
+        ++delivered[p.src * kNodes + p.dst];
+      }
+    }
+  } counter;
+  net.attach_trace_sink(&counter);
+  const std::vector<long>& delivered = counter.delivered;
   net.add_traffic(m);
   const SimTime horizon = SimTime::from_sec(600);
   net.run_for(horizon);

@@ -102,7 +102,9 @@ Fingerprint run_with_shards(const net::GraphSpec& spec, double load_bps,
   fp.updates_originated = st.updates_originated;
   fp.update_packets_sent = st.update_packets_sent;
   fp.stability = net.stability();
-  fp.upgrades = static_cast<long>(net.upgrades_applied().size());
+  for (const net::Link& l : topo.links()) {
+    if (net.effective_link(l.id).type != l.type) ++fp.upgrades;
+  }
   return fp;
 }
 

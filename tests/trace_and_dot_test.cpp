@@ -8,6 +8,9 @@ namespace arpanet::sim {
 namespace {
 
 using net::LineType;
+using obs::PacketTracer;
+using obs::TraceEvent;
+using obs::TraceEventKind;
 using util::SimTime;
 
 // ---- PacketTracer unit behaviour ----
@@ -64,7 +67,7 @@ TEST(PacketTracerTest, TracesAPacketHopByHop) {
   NetworkConfig cfg;
   Network net{t, cfg};
   PacketTracer tracer;
-  net.attach_tracer(&tracer);
+  net.attach_trace_sink(&tracer);
   traffic::TrafficMatrix m{3};
   m.set(a, c, 2e3);
   net.add_traffic(m);
